@@ -3,7 +3,7 @@
 from .arith import Factorization, UnitGroupStructure, dlog, euler_phi, factorize, unit_group
 from .ball import Ball, ComplexBall
 from .batch import (CoefficientVector, LValueRecord, build_coefficients,
-                    dft_all_characters, direct_sum, l_values)
+                    direct_sum, l_values)
 from .bounds import (BoundReport, THEOREM_EVEN, THEOREM_ODD, c_even, c_odd,
                      c_even_limit, c_odd_limit, check_theorem)
 from .characters import (Character, chi_value, conductor_of, count_primitive,
@@ -22,7 +22,7 @@ __all__ = [
     "digamma", "j_func", "f3", "f4", "integrate",
     "ToleranceError", "QuadratureError",
     "CoefficientVector", "LValueRecord", "build_coefficients",
-    "dft_all_characters", "direct_sum", "l_values",
+    "direct_sum", "l_values",
     "BoundReport", "THEOREM_EVEN", "THEOREM_ODD",
     "c_even", "c_odd", "c_even_limit", "c_odd_limit", "check_theorem",
     "SweepRow", "SweepSummary", "sweep", "emit_figure_data",

@@ -13,7 +13,6 @@ against exact small-length DFTs and the direct per-character sum.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,17 +60,18 @@ def build_coefficients(q: int, tol: float) -> CoefficientVector:
     return CoefficientVector(q, us, mids, rads)
 
 
-def character_sums(g: UnitGroupStructure, unit_values: np.ndarray,
+def character_sums(g: UnitGroupStructure, us: np.ndarray, unit_values: np.ndarray,
                    unit_rads: np.ndarray) -> tuple[np.ndarray, float]:
     """sum_n a(n) chi(n) for every character, in enumeration order.
 
-    Returns the complex midpoint array (flattened lattice, C order, which
-    is exactly the lexicographic character order) and one envelope radius
-    valid for each output's real and imaginary parts.
+    `unit_values` and `unit_rads` are aligned with `us`, every unit mod
+    g.q once.  Returns the complex midpoint array (flattened lattice, C
+    order, which is exactly the lexicographic character order) and one
+    envelope radius valid for each output's real and imaginary parts.
     """
     dims = g.orders
     n = g.phi
-    coords = dlog_matrix(g, units(g.q))
+    coords = dlog_matrix(g, us)
     flat = np.ravel_multi_index(coords, dims)
     lattice = np.zeros(n, dtype=np.complex128)
     lattice[flat] = unit_values
@@ -80,16 +80,6 @@ def character_sums(g: UnitGroupStructure, unit_values: np.ndarray,
     envelope = (_FFT_C * math.log2(max(n, 2)) * _U * n * max_mag
                 + float(np.sum(unit_rads)))
     return spectrum.ravel(), envelope
-
-
-def dft_all_characters(g: UnitGroupStructure,
-                       coeffs: CoefficientVector) -> list[ComplexBall]:
-    """All phi(q) character sums of the coefficient vector, as balls."""
-    if g.q != coeffs.q:
-        raise ValueError("coefficient vector and group have different conductors")
-    spec, env = character_sums(g, coeffs.mids.astype(np.complex128), coeffs.rads)
-    return [ComplexBall(Ball(float(z.real), env), Ball(float(z.imag), env))
-            for z in spec]
 
 
 def direct_sum(g: UnitGroupStructure, coeffs: CoefficientVector,
@@ -129,15 +119,17 @@ class LValueRecord:
     excess: Ball         # |L| - (1/3) log q
 
 
-def _log_third(q: int) -> Ball:
-    return Ball.exact(q).log() / 3
-
-
-def _batch_spectrum(q: int, tol: float):
+def _spectrum(q: int, tol: float):
+    """All character sums of one conductor with its masks and (1/3) log q,
+    or None when q has no primitive character (q = 2 mod 4), in which case
+    neither the coefficients nor the transform are computed."""
     g = unit_group(q)
+    prim = primitive_mask(g)
+    if not prim.any():
+        return None
     coeffs = build_coefficients(q, tol / (2.0 * g.phi))
-    spec, env = character_sums(g, coeffs.mids.astype(np.complex128), coeffs.rads)
-    return g, spec, env
+    spec, env = character_sums(g, coeffs.units, coeffs.mids, coeffs.rads)
+    return spec, env, prim, parity_mask(g), Ball.exact(q).log() / 3
 
 
 def l_values(q: int, tol: float = 1e-9) -> list[LValueRecord]:
@@ -148,10 +140,10 @@ def l_values(q: int, tol: float = 1e-9) -> list[LValueRecord]:
     """
     if q < 3:
         raise ValueError(f"l_values requires q >= 3, got {q}")
-    g, spec, env = _batch_spectrum(q, tol)
-    prim = primitive_mask(g)
-    odd = parity_mask(g)
-    log3 = _log_third(q)
+    sp = _spectrum(q, tol)
+    if sp is None:
+        return []
+    spec, env, prim, odd, log3 = sp
     out = []
     for i in np.flatnonzero(prim):
         i = int(i)
@@ -183,14 +175,11 @@ def batch_maxima(q: int, tol: float = 1e-9) -> tuple[list[ParityMaximum], int]:
     """
     if q < 3:
         raise ValueError(f"batch_maxima requires q >= 3, got {q}")
-    g, spec, env = _batch_spectrum(q, tol)
-    prim = primitive_mask(g)
-    n_prim = int(prim.sum())
-    if n_prim == 0:
+    sp = _spectrum(q, tol)
+    if sp is None:
         return [], 0
-    odd = parity_mask(g)
+    spec, env, prim, odd, log3 = sp
     abs_mid = np.abs(spec)
-    log3 = _log_third(q)
     out = []
     for parity, sel in (("even", prim & ~odd), ("odd", prim & odd)):
         idx = np.flatnonzero(sel)
@@ -206,14 +195,4 @@ def batch_maxima(q: int, tol: float = 1e-9) -> tuple[list[ParityMaximum], int]:
         abs_ball = Ball(float(abs_mid[best]), rad)
         out.append(ParityMaximum(q, parity, best, abs_ball - log3,
                                  bool(cands.size > 1)))
-    return out, n_prim
-
-
-def time_conductor(q: int, tol: float = 1e-9, repeats: int = 5) -> float:
-    """Best-of-n wall time of one full per-conductor batch, in seconds."""
-    best = math.inf
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        batch_maxima(q, tol)
-        best = min(best, time.perf_counter() - t0)
-    return best
+    return out, int(prim.sum())

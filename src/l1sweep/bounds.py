@@ -25,11 +25,15 @@ THEOREM_EVEN = _decimal_ball("0.368296")
 THEOREM_ODD = _decimal_ball("0.838374")
 
 
-def theorem_constant(parity: str) -> Ball:
+def theorem_constant(parity: str,
+                     constants: tuple[Ball, Ball] | None = None) -> Ball:
+    """The additive constant for one parity, taken from the (even, odd)
+    pair `constants`, by default the theorem's fixed literals."""
+    even_c, odd_c = constants if constants is not None else (THEOREM_EVEN, THEOREM_ODD)
     if parity == "even":
-        return THEOREM_EVEN
+        return even_c
     if parity == "odd":
-        return THEOREM_ODD
+        return odd_c
     raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
 
 
@@ -92,18 +96,15 @@ def check_theorem(rec: LValueRecord,
     comparison.  The report records whether 3 | q, i.e. whether the
     theorem formally applies to this conductor.
     """
-    even_c, odd_c = constants if constants is not None else (THEOREM_EVEN, THEOREM_ODD)
-    const = even_c if rec.parity == "even" else odd_c
+    const = theorem_constant(rec.parity, constants)
     bound = Ball.exact(rec.q).log() / 3 + const
     margin = bound - rec.abs_value
     return BoundReport(rec.q, rec.parity, const, bound, margin,
                        _verdict(margin), rec.q % 3 == 0)
 
 
-def excess_margin(excess: Ball, parity: str,
-                  constants: tuple[Ball, Ball] | None = None) -> tuple[Ball, str]:
-    """Margin and verdict directly from an excess ball (|L| - log(q)/3)."""
-    even_c, odd_c = constants if constants is not None else (THEOREM_EVEN, THEOREM_ODD)
-    const = even_c if parity == "even" else odd_c
-    margin = const - excess
+def excess_margin(excess: Ball, parity: str) -> tuple[Ball, str]:
+    """Margin and verdict against the theorem constant directly from an
+    excess ball (|L| - log(q)/3)."""
+    margin = theorem_constant(parity) - excess
     return margin, _verdict(margin)

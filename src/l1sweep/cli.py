@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success with nothing violated; 1 usage or I/O error;
-2 a theorem exception, an unresolved indeterminate verdict, or a failed
-lemma check.
+Exit codes: 0 success with nothing violated; 1 usage or I/O error, an
+out-of-range q, or a tolerance the coefficients cannot attain, each with
+an error message; 2 a theorem exception, an unresolved indeterminate
+verdict, or a failed lemma check.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from .batch import l_values
 from .bounds import check_theorem
 from .characters import count_primitive
 from .lemmas import run_all
-from .sweep import default_threads, emit_figure_data, summarize, sweep
+from .sweep import emit_figure_data, summarize, sweep
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,10 +62,9 @@ def _build_parser() -> _Parser:
 
 def _cmd_sweep(args) -> int:
     divisor = None if args.all_q else 3
-    threads = args.threads if args.threads is not None else default_threads()
     try:
-        summary = sweep(args.qmin, args.qmax, divisor, args.tol, threads, args.out)
-    except OSError as e:
+        summary = sweep(args.qmin, args.qmax, divisor, args.tol, args.threads, args.out)
+    except (OSError, ValueError) as e:  # ValueError includes ToleranceError
         print(f"error: {e}", file=sys.stderr)
         return 1
     print(summarize(summary))
@@ -74,10 +74,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_lvalue(args) -> int:
-    if args.q < 3:
-        print("error: q must be at least 3", file=sys.stderr)
+    try:
+        records = l_values(args.q)
+    except ValueError as e:  # q < 3, or ToleranceError
+        print(f"error: {e}", file=sys.stderr)
         return 1
-    records = l_values(args.q)
     if not records:
         print(f"q={args.q}: no primitive characters")
         return 0

@@ -29,6 +29,11 @@ class ToleranceError(ValueError):
         super().__init__(
             f"requested radius {requested:.3e} unattainable; achieved {achieved:.3e}")
 
+    def __reduce__(self):
+        # a sweep worker process sends the exception back pickled, and the
+        # default reduction would call __init__ with the message alone
+        return type(self), (self.requested, self.achieved)
+
 
 class QuadratureError(ArithmeticError):
     """Adaptive quadrature hit its depth limit before converging."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .ball import Ball
 from .batch import batch_maxima
-from .bounds import THEOREM_EVEN, THEOREM_ODD, excess_margin
+from .bounds import excess_margin, theorem_constant
 from .characters import count_primitive
 from .special import ToleranceError
 
@@ -89,10 +89,9 @@ def _rows_for_conductor(q: int, tol: float) -> tuple[list[SweepRow], int]:
                 margin, verdict = excess_margin(mx.excess, mx.parity)
             except ToleranceError:
                 floor_hit = True
-        const = THEOREM_EVEN if mx.parity == "even" else THEOREM_ODD
         rows.append(SweepRow(q, mx.parity, mx.excess.mid, mx.excess.rad,
-                             mx.index, const.mid, margin.mid, margin.rad,
-                             verdict, mx.ambiguous))
+                             mx.index, theorem_constant(mx.parity).mid,
+                             margin.mid, margin.rad, verdict, mx.ambiguous))
     return rows, (n_prim if not floor_hit else -n_prim)
 
 

@@ -1,5 +1,9 @@
 """Shared fixtures and the acceptance-criteria summary hook."""
 
+import pytest
+
+from l1sweep.lemmas import run_all
+
 CRITERION_LINES: list[str] = []
 
 
@@ -13,3 +17,9 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in CRITERION_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture(scope="session")
+def lemma_results():
+    """The lemma validation suite at the criterion grid, run once per session."""
+    return run_all(grid_n=100)

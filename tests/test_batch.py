@@ -14,8 +14,9 @@ import pytest
 
 from l1sweep.arith import unit_group, units
 from l1sweep.ball import Ball
+from l1sweep import batch
 from l1sweep.batch import (batch_maxima, build_coefficients, character_sums,
-                           dft_all_characters, direct_sum, l_values)
+                           direct_sum, l_values)
 from l1sweep.characters import (chi_value, conjugate_index,
                                 enumerate_characters, primitive_mask)
 from l1sweep.special import ToleranceError, digamma
@@ -65,14 +66,14 @@ def test_transform_indicator_vectors():
     # indicator of n = 1: every character sum is exactly 1
     vals = np.zeros(n_units, dtype=np.complex128)
     vals[0] = 1.0  # units are ascending, so index 0 is n=1
-    spec, env = character_sums(g, vals, np.zeros(n_units))
+    spec, env = character_sums(g, us, vals, np.zeros(n_units))
     assert np.allclose(spec, 1.0, atol=1e-12)
     # indicator of n0: sums enumerate chi(n0)
     chars = enumerate_characters(g)
     for pos, n0 in ((3, int(us[3])), (7, int(us[7]))):
         vals = np.zeros(n_units, dtype=np.complex128)
         vals[pos] = 1.0
-        spec, env = character_sums(g, vals, np.zeros(n_units))
+        spec, env = character_sums(g, us, vals, np.zeros(n_units))
         for i, chi in enumerate(chars):
             want = chi_value(chi, n0)
             assert abs(spec[i].real - want.re.mid) <= env + want.re.rad + 1e-13
@@ -103,6 +104,30 @@ def test_l_values_empty_for_2_mod_4():
         assert l_values(q) == []
 
 
+def test_units_enumerated_once_per_conductor(monkeypatch):
+    # the coefficients and the transform share one unit array
+    calls = []
+
+    def counting_units(q):
+        calls.append(q)
+        return units(q)
+
+    monkeypatch.setattr(batch, "units", counting_units)
+    batch_maxima(999)
+    assert calls == [999]
+
+
+def test_no_spectrum_without_primitive_characters(monkeypatch):
+    # q = 2 mod 4 has no primitive character: no coefficients, no transform
+    def no_digamma(x):
+        raise AssertionError("digamma evaluated for a conductor with no primitive character")
+
+    monkeypatch.setattr(batch, "digamma_points", no_digamma)
+    for q in (30, 6):
+        assert batch_maxima(q) == ([], 0)
+        assert l_values(q) == []
+
+
 def test_l_values_rejects_small_q():
     with pytest.raises(ValueError):
         l_values(2)
@@ -120,11 +145,11 @@ def test_dft_direct_equivalence_spot():
     for q in (7, 16, 24, 45, 59, 60):
         g = unit_group(q)
         c = build_coefficients(q, 1e-9 / (2 * g.phi))
-        spec = dft_all_characters(g, c)
+        spec, env = character_sums(g, c.units, c.mids, c.rads)
         for i, chi in enumerate(enumerate_characters(g)):
             d = direct_sum(g, c, chi)
-            assert abs(spec[i].re.mid - d.re.mid) <= spec[i].re.rad + d.re.rad, (q, i)
-            assert abs(spec[i].im.mid - d.im.mid) <= spec[i].im.rad + d.im.rad, (q, i)
+            assert abs(spec[i].real - d.re.mid) <= env + d.re.rad, (q, i)
+            assert abs(spec[i].imag - d.im.mid) <= env + d.im.rad, (q, i)
 
 
 def test_transform_against_exact_dft_reference():
@@ -135,7 +160,7 @@ def test_transform_against_exact_dft_reference():
         g = unit_group(q)
         us = units(q)
         vals = rng.standard_normal(len(us)) + 1j * rng.standard_normal(len(us))
-        spec, env = character_sums(g, vals, np.zeros(len(us)))
+        spec, env = character_sums(g, us, vals, np.zeros(len(us)))
         chars = enumerate_characters(g)
         L = 1
         for comp in g.components:
@@ -157,7 +182,7 @@ def test_fft_envelope_has_headroom_on_small_sizes():
         g = unit_group(q)
         us = units(q)
         vals = rng.standard_normal(len(us)) + 1j * rng.standard_normal(len(us))
-        spec, env = character_sums(g, vals, np.zeros(len(us)))
+        spec, env = character_sums(g, us, vals, np.zeros(len(us)))
         chars = enumerate_characters(g)
         cos_sin = None
         for i, chi in enumerate(chars):

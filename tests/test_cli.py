@@ -45,6 +45,23 @@ def test_sweep_subcommand_and_exit_code(tmp_path, capsys):
         assert fh.readline().startswith("q,parity,")
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--qmin", "1", "--qmax", "9"],                 # q out of range
+    ["sweep", "--qmin", "3", "--qmax", "30", "--tol", "0"],  # unattainable tolerance
+    ["sweep", "--qmin", "3", "--qmax", "30", "--tol", "0", "--threads", "2"],
+    ["sweep", "--qmin", "300003", "--qmax", "300003"],       # phi beyond the digamma floor
+])
+def test_sweep_bad_input_exits_1(argv, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path / "rows.csv")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("q", ["2", "300003"])
+def test_lvalue_bad_input_exits_1(q, capsys):
+    assert main(["lvalue", "--q", q]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_sweep_unwritable_output(capsys):
     code = main(["sweep", "--qmin", "3", "--qmax", "9",
                  "--out", "/nonexistent-dir/rows.csv"])

@@ -12,7 +12,7 @@ from l1sweep.lemmas import (check_even_inner_sum, check_f3_identity,
                             check_f4_identity, check_inner_sum_bound,
                             check_j_integral, check_j_sandwich, check_lemma26,
                             check_lemma32, inner_sum_bound_margins,
-                            one_minus_f3_points, run_all)
+                            one_minus_f3_points)
 from l1sweep.special import f3, integrate, j_func
 
 mp.mp.dps = 30
@@ -187,8 +187,8 @@ def test_grid_refinement_does_not_flip_verdicts():
                 assert lo.is_positive() and hi.is_positive()
 
 
-def test_run_all_passes():
-    results = run_all(grid_n=40)
+def test_run_all_passes(lemma_results):
+    results = lemma_results
     assert all(r.verdict == "pass" for r in results), [r.line() for r in results]
     names = {r.name for r in results}
     assert {"j-integral", "j-sandwich", "f3-identity", "f4-identity",
