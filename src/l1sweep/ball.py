@@ -8,8 +8,8 @@ inside the input balls lies inside the output ball.
 The outward rounding model: one IEEE double operation on the midpoint
 contributes at most ``|result| * 2**-53``; we charge a full ``2**-52``
 per operation, inflate the radius arithmetic by a multiplicative slop,
-and add a sub-underflow floor.  Elementary functions (log, sin, cos,
-sqrt, hypot) are charged a few extra ulps on top of their Lipschitz
+and add a sub-underflow floor.  Elementary functions (log, sin, sqrt,
+hypot) are charged a few extra ulps on top of their Lipschitz
 radius propagation; containment is exercised against exact rational and
 high-precision oracles in the test suite.
 """
@@ -189,21 +189,14 @@ class Ball:
         return _out(0.5 * (elo + ehi), 0.5 * (ehi - elo) + ehi * _EPS)
 
     def sin(self) -> "Ball":
-        # glibc sin/cos stay within ~2 ulp of the true result for all
+        # glibc sin stays within ~2 ulp of the true result for all
         # double arguments; charge 4 ulp of unity plus Lipschitz-1 radius.
         s = math.sin(self.mid)
         return _out(s, self.rad + 4.0 * _EPS)
 
-    def cos(self) -> "Ball":
-        c = math.cos(self.mid)
-        return _out(c, self.rad + 4.0 * _EPS)
-
 
 PI = Ball(math.pi, 2.0 ** -52)
 TWO_PI = Ball(2.0 * math.pi, 2.0 ** -51)
-# euler_gamma to 30 digits: 0.577215664901532860606512090082; the double
-# below is within one ulp.
-EULER_GAMMA = Ball(0.5772156649015329, 2.0 ** -53)
 LOG2 = Ball(math.log(2.0), 2.0 ** -53)
 
 

@@ -41,9 +41,6 @@ class CoefficientVector:
     mids: np.ndarray
     rads: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.units)
-
 
 def build_coefficients(q: int, tol: float) -> CoefficientVector:
     """Digamma coefficient vector with per-entry radius at most tol."""
@@ -56,7 +53,7 @@ def build_coefficients(q: int, tol: float) -> CoefficientVector:
     rads = psi_rad / q * (1.0 + 2.0 ** -40) + 2.0 * _EPS * np.abs(mids)
     worst = float(rads.max())
     if worst > tol:
-        raise ToleranceError(tol, worst)
+        raise ToleranceError(tol, worst, q)
     return CoefficientVector(q, us, mids, rads)
 
 

@@ -76,11 +76,6 @@ class Character:
         return sum(e * k * (L // c.order)
                    for e, k, c in zip(self.exps, ks, self.group.components)) % L
 
-    def conjugate(self) -> "Character":
-        neg = tuple((-e) % c.order for e, c in zip(self.exps, self.group.components))
-        return Character(self.q, neg, self.parity, self.conductor,
-                         self.primitive, self.group)
-
     def label(self) -> tuple[int, int]:
         """(q, n) cross-reference label: n is the unit whose dlog pairing
         reproduces this character's exponents."""

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success with nothing violated; 1 usage or I/O error, an
 out-of-range q, or a tolerance the coefficients cannot attain, each with
-an error message; 2 a theorem exception, an unresolved indeterminate
-verdict, or a failed lemma check.
+an error message; 2 a theorem exception, an indeterminate verdict (from
+its first evaluation: tol changes no computed value, so nothing is
+retried), or a failed lemma check.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ def _build_parser() -> _Parser:
     s.add_argument("--all-q", action="store_true",
                    help="sweep every conductor, not only multiples of 3")
     s.add_argument("--tol", type=float, default=1e-9,
-                   help="absolute tolerance per L-value (default 1e-9)")
+                   help="absolute tolerance per L-value (default 1e-9); it changes "
+                        "no computed value, only which conductors are refused")
     s.add_argument("--threads", type=int, default=None,
                    help="worker processes (default: $L1SWEEP_THREADS or 1)")
     s.add_argument("--out", required=True, help="row file path")
@@ -68,9 +70,7 @@ def _cmd_sweep(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 1
     print(summarize(summary))
-    if summary.exceptions or summary.tolerance_floor:
-        return 2
-    return 0
+    return 2 if summary.exceptions else 0
 
 
 def _cmd_lvalue(args) -> int:

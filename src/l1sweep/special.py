@@ -23,16 +23,17 @@ _EPS = 2.0 ** -52
 class ToleranceError(ValueError):
     """Requested tolerance cannot be met in double precision."""
 
-    def __init__(self, requested: float, achieved: float):
+    def __init__(self, requested: float, achieved: float, q: int | None = None):
         self.requested = requested
         self.achieved = achieved
-        super().__init__(
-            f"requested radius {requested:.3e} unattainable; achieved {achieved:.3e}")
+        self.q = q
+        msg = f"requested radius {requested:.3e} unattainable; achieved {achieved:.3e}"
+        super().__init__(msg if q is None else f"q={q}: {msg}")
 
     def __reduce__(self):
         # a sweep worker process sends the exception back pickled, and the
         # default reduction would call __init__ with the message alone
-        return type(self), (self.requested, self.achieved)
+        return type(self), (self.requested, self.achieved, self.q)
 
 
 class QuadratureError(ArithmeticError):

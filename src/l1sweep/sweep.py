@@ -12,13 +12,12 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .ball import Ball
 from .batch import batch_maxima
 from .bounds import excess_margin, theorem_constant
 from .characters import count_primitive
-from .special import ToleranceError
 
 THREADS_ENV = "L1SWEEP_THREADS"
 _HEADER = "q,parity,excess_mid,excess_rad,index,constant,margin_mid,margin_rad,verdict,ambiguous"
@@ -68,37 +67,35 @@ class SweepSummary:
     n_conductors: int
     n_characters: int
     wall_seconds: float
-    tolerance_floor: list[int] = field(default_factory=list)  # q where retry was impossible
 
     @property
     def verified(self) -> bool:
         return not self.exceptions
 
+    @property
+    def tolerance_floor(self) -> list[int]:
+        """Conductors with an indeterminate row, in ascending order.
 
-def _rows_for_conductor(q: int, tol: float) -> tuple[list[SweepRow], int]:
-    maxima, n_prim = batch_maxima(q, tol)
-    rows: list[SweepRow] = []
-    floor_hit = False
-    for mx in maxima:
-        margin, verdict = excess_margin(mx.excess, mx.parity)
-        if verdict == "indeterminate":
-            # one automatic retry at a hundredth of the tolerance
-            try:
-                retry, _ = batch_maxima(q, tol / 100.0)
-                mx = next(m for m in retry if m.parity == mx.parity)
-                margin, verdict = excess_margin(mx.excess, mx.parity)
-            except ToleranceError:
-                floor_hit = True
-        rows.append(SweepRow(q, mx.parity, mx.excess.mid, mx.excess.rad,
-                             mx.index, theorem_constant(mx.parity).mid,
-                             margin.mid, margin.rad, verdict, mx.ambiguous))
-    return rows, (n_prim if not floor_hit else -n_prim)
+        tol changes no computed value: whatever tol is, the digamma
+        coefficients carry the same midpoints and the same radii, which sit
+        at the double-precision floor, and tol only decides which
+        conductors are refused with ToleranceError.  So no rerun at a
+        smaller tol can decide these rows; they stay among the exceptions.
+        """
+        return sorted({r.q for r in self.exceptions if r.verdict == "indeterminate"})
 
 
 def _worker(args: tuple[int, float]) -> tuple[int, list[SweepRow], int]:
+    """Rows of one conductor from a single batch_maxima evaluation."""
     q, tol = args
-    rows, n = _rows_for_conductor(q, tol)
-    return q, rows, n
+    maxima, n_prim = batch_maxima(q, tol)
+    rows = []
+    for mx in maxima:
+        margin, verdict = excess_margin(mx.excess, mx.parity)
+        rows.append(SweepRow(q, mx.parity, mx.excess.mid, mx.excess.rad,
+                             mx.index, theorem_constant(mx.parity).mid,
+                             margin.mid, margin.rad, verdict, mx.ambiguous))
+    return q, rows, n_prim
 
 
 def conductor_range(qmin: int, qmax: int, divisor: int | None) -> list[int]:
@@ -162,7 +159,6 @@ def sweep(qmin: int, qmax: int, divisor: int | None = 3, tol: float = 1e-9,
 
     rows: list[SweepRow] = list(resumed)
     n_characters = 0
-    tolerance_floor: list[int] = []
     fh = None
     if out_path:
         fh = open(out_path, "w" if not resumed else "r+", encoding="utf-8", newline="")
@@ -179,10 +175,7 @@ def sweep(qmin: int, qmax: int, divisor: int | None = 3, tol: float = 1e-9,
 
     def consume(result):
         nonlocal n_characters
-        q, new_rows, n_prim = result
-        if n_prim < 0:
-            tolerance_floor.append(q)
-            n_prim = -n_prim
+        _, new_rows, n_prim = result
         n_characters += n_prim
         rows.extend(new_rows)
         if fh is not None:
@@ -196,7 +189,8 @@ def sweep(qmin: int, qmax: int, divisor: int | None = 3, tol: float = 1e-9,
                 consume(_worker((q, tol)))
         else:
             chunk = max(1, len(todo) // (threads * 16))
-            with ProcessPoolExecutor(max_workers=threads) as pool:
+            # the fork start method launches every worker up front
+            with ProcessPoolExecutor(max_workers=min(threads, len(todo))) as pool:
                 for result in pool.map(_worker, [(q, tol) for q in todo],
                                        chunksize=chunk):
                     consume(result)
@@ -216,8 +210,7 @@ def sweep(qmin: int, qmax: int, divisor: int | None = 3, tol: float = 1e-9,
             maxima[r.parity] = r
     exceptions = [r for r in rows if r.verdict != "pass"]
     return SweepSummary(qmin, qmax, divisor, tol, rows, exceptions, maxima,
-                        len(qs), n_characters, time.perf_counter() - t0,
-                        tolerance_floor)
+                        len(qs), n_characters, time.perf_counter() - t0)
 
 
 def emit_figure_data(rows_path: str, parity: str, out_path: str) -> int:

@@ -69,7 +69,6 @@ def test_addition_containment_hypothesis(m1, r1, m2, r2):
     ("log", mp.log, (1e-12, 1e10)),
     ("exp", mp.exp, (-50.0, 50.0)),
     ("sin", mp.sin, (-30.0, 30.0)),
-    ("cos", mp.cos, (-30.0, 30.0)),
 ])
 def test_elementary_functions_contain_true_value(fn, mpfn, domain):
     rng = np.random.default_rng(hash(fn) % 2 ** 32)

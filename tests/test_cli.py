@@ -56,6 +56,14 @@ def test_sweep_bad_input_exits_1(argv, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_sweep_tolerance_error_names_conductor(threads, tmp_path, capsys):
+    # 299997 is the first conductor of the range beyond the digamma floor
+    assert main(["sweep", "--qmin", "299997", "--qmax", "300003", "--threads", threads,
+                 "--out", str(tmp_path / "rows.csv")]) == 1
+    assert "q=299997: " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("q", ["2", "300003"])
 def test_lvalue_bad_input_exits_1(q, capsys):
     assert main(["lvalue", "--q", q]) == 1

@@ -1,14 +1,19 @@
 """Sweep machinery: rows, files, resume, determinism, figure data."""
 
+import importlib
 import os
 
 import pytest
 
-from l1sweep.batch import direct_sum, build_coefficients, l_values
+from l1sweep.batch import batch_maxima, direct_sum, build_coefficients, l_values
 from l1sweep.arith import unit_group
 from l1sweep.characters import count_primitive, enumerate_characters
+from l1sweep.special import ToleranceError
 from l1sweep.sweep import (SweepRow, _load_resume, conductor_range,
                            emit_figure_data, summarize, sweep)
+
+# the package exports the sweep function under the submodule's name
+sweep_mod = importlib.import_module("l1sweep.sweep")
 
 
 def test_conductor_range_restriction():
@@ -150,31 +155,63 @@ def test_threads_env_var_default(monkeypatch):
     assert default_threads() == 1
 
 
-def test_indeterminate_triggers_retry(monkeypatch):
-    # first evaluation returns a radius too fat to decide; the retry at
-    # tol/100 must resolve it to a pass
-    import importlib
-    sweep_mod = importlib.import_module("l1sweep.sweep")
+@pytest.mark.parametrize("q", [9, 111, 249, 999, 1533, 2997, 9999])
+def test_maxima_do_not_depend_on_tol(q):
+    # tol only gates build_coefficients; it never changes a computed
+    # value, so a smaller tol returns bit-identical maxima or is refused
+    # (phi(q) above about 1020 puts tol/(2 phi) below the digamma floor)
+    first = batch_maxima(q, 1e-9)
+    try:
+        assert batch_maxima(q, 1e-11) == first
+    except ToleranceError as e:
+        assert e.q == q and unit_group(q).phi > 1000
+
+
+def test_indeterminate_verdict_is_final(monkeypatch, tmp_path):
+    # a maximum whose excess ball is too wide to decide stays
+    # indeterminate: the conductor is evaluated once and the sweep fails
     from l1sweep.ball import Ball
-    from l1sweep.batch import ParityMaximum, batch_maxima
+    from l1sweep.batch import ParityMaximum
+    from l1sweep.cli import main
 
     calls = []
-    real = batch_maxima
 
-    def flaky(q, tol=1e-9):
-        maxima, n = real(q, tol)
-        calls.append(tol)
-        if len(calls) == 1:
-            maxima = [ParityMaximum(m.q, m.parity, m.index,
-                                    Ball(m.excess.mid, 5.0), m.ambiguous)
-                      for m in maxima]
-        return maxima, n
+    def wide(q, tol=1e-9):
+        calls.append((q, tol))
+        maxima, n = batch_maxima(q, tol)
+        return [ParityMaximum(m.q, m.parity, m.index, Ball(m.excess.mid, 5.0),
+                              m.ambiguous) for m in maxima], n
 
-    monkeypatch.setattr(sweep_mod, "batch_maxima", flaky)
-    rows, n_prim = sweep_mod._rows_for_conductor(3, 1e-9)
-    assert len(calls) == 2 and abs(calls[1] - 1e-11) < 1e-26
-    assert rows[0].verdict == "pass"
-    assert n_prim == 1
+    monkeypatch.setattr(sweep_mod, "batch_maxima", wide)
+    summary = sweep(3, 3)
+    assert calls == [(3, 1e-9)]
+    assert [r.verdict for r in summary.rows] == ["indeterminate"]
+    assert summary.tolerance_floor == [3]
+    assert not summary.verified
+    assert main(["sweep", "--qmin", "3", "--qmax", "3",
+                 "--out", str(tmp_path / "rows.csv")]) == 2
+
+
+def test_pool_no_larger_than_conductor_count(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", SerialPool)
+    summary = sweep(3, 9, 3, threads=64)
+    assert sizes == [3]
+    assert summary.n_characters == 5
 
 
 def test_even_band_for_q_divisible_by_12_sits_lower(tmp_path):
