@@ -4,9 +4,9 @@ The multiplicative group mod q is decomposed into cyclic components, one
 per odd prime-power factor (generated by the smallest suitable primitive
 root) and one or two for the 2-part: nothing for 2, a single order-2
 component generated by 3 for 4, and <-1> x <5> for 2^e with e >= 3.
-Discrete logarithms are precomputed as full lookup tables, sized by the
-prime-power part, so that character evaluation and the batch DFT can
-index straight into numpy arrays.
+The units are generated forward from the CRT-lifted generators, in C
+order over the exponent lattice, and a residue-indexed inverse of that
+layout gives discrete logarithms by lookup.
 """
 
 from __future__ import annotations
@@ -98,17 +98,19 @@ class UnitGroupStructure:
     q: int
     phi: int
     components: tuple[Component, ...]
-    # dlog_tables[i][n % components[i].modulus] is the exponent of n on
-    # component i, or -1 for non-units of that part.
-    dlog_tables: tuple[np.ndarray, ...] = field(repr=False)
+    # lattice[k] is the unit at flat position k (C order) of the exponent
+    # lattice, prod_i G_i^{k_i} mod q with G_i the CRT lift of component
+    # i's generator; index[n] is the position of n, or -1 on a non-unit.
+    lattice: np.ndarray = field(repr=False)
+    index: np.ndarray = field(repr=False)
 
     @property
     def orders(self) -> tuple[int, ...]:
         return tuple(c.order for c in self.components)
 
 
-def _power_table(g: int, order: int, modulus: int) -> np.ndarray:
-    """table[residue] = k with g^k = residue (mod modulus), -1 elsewhere.
+def _powers(g: int, order: int, modulus: int) -> np.ndarray:
+    """g^k mod modulus for k = 0..order-1, exact for modulus < 2^31.
 
     Built baby-step/giant-step so the Python-level loop is O(sqrt(order)).
     """
@@ -122,102 +124,67 @@ def _power_table(g: int, order: int, modulus: int) -> np.ndarray:
         giant[i] = giant[i - 1] * big % modulus
     grid = (np.array(giant, dtype=np.int64)[:, None]
             * np.array(baby, dtype=np.int64)[None, :]) % modulus
-    residues = grid.ravel()[:order]
-    table = np.full(modulus, -1, dtype=np.int64)
-    table[residues] = np.arange(order, dtype=np.int64)
-    return table
-
-
-def _two_part_tables(e: int) -> tuple[list[Component], list[np.ndarray]]:
-    """Components and dlog tables for the part 2^e, e >= 3: <-1> x <5>."""
-    mod = 1 << e
-    order5 = 1 << (e - 2)
-    pow5 = _power_table(5, order5, mod)
-    idx = np.arange(mod, dtype=np.int64)
-    neg = (mod - idx) % mod
-    sign_tbl = np.full(mod, -1, dtype=np.int64)
-    five_tbl = np.full(mod, -1, dtype=np.int64)
-    is1 = idx % 4 == 1
-    is3 = idx % 4 == 3
-    sign_tbl[is1] = 0
-    sign_tbl[is3] = 1
-    five_tbl[is1] = pow5[idx[is1]]
-    five_tbl[is3] = pow5[neg[is3]]
-    comps = [Component(mod, mod - 1, 2), Component(mod, 5, order5)]
-    return comps, [sign_tbl, five_tbl]
+    return grid.ravel()[:order]
 
 
 def unit_group(q: int) -> UnitGroupStructure:
-    """Deterministic cyclic decomposition of (Z/qZ)^* with dlog tables."""
+    """Deterministic cyclic decomposition of (Z/qZ)^*, with its units laid
+    out on the exponent lattice."""
     if q < 3:
         raise ValueError(f"unit_group requires q >= 3, got {q}")
     fac = factorize(q)
     comps: list[Component] = []
-    tables: list[np.ndarray] = []
     for p, e in fac.factors:
         if p == 2:
-            if e == 1:
-                continue  # trivial part, contributes nothing
             if e == 2:
                 comps.append(Component(4, 3, 2))
-                tables.append(np.array([-1, 0, -1, 1], dtype=np.int64))
-            else:
-                c2, t2 = _two_part_tables(e)
-                comps.extend(c2)
-                tables.extend(t2)
+            elif e >= 3:
+                mod = 1 << e
+                comps += [Component(mod, mod - 1, 2), Component(mod, 5, 1 << (e - 2))]
         else:
-            pe = p ** e
-            g = _prime_power_generator(p, e)
-            order = (p - 1) * p ** (e - 1)
-            comps.append(Component(pe, g, order))
-            tables.append(_power_table(g, order, pe))
-    return UnitGroupStructure(q, fac.phi(), tuple(comps), tuple(tables))
+            comps.append(Component(p ** e, _prime_power_generator(p, e),
+                                   (p - 1) * p ** (e - 1)))
+    lattice = np.ones(1, dtype=np.int64)
+    for c in comps:
+        rest = q // c.modulus
+        # the generator mod its part, 1 mod the rest of q
+        lift = (1 + (c.generator - 1) * rest * pow(rest, -1, c.modulus)) % q
+        lattice = (lattice[:, None] * _powers(lift, c.order, q)[None, :] % q).ravel()
+    index = np.full(q, -1, dtype=np.int64)
+    index[lattice] = np.arange(lattice.size, dtype=np.int64)
+    return UnitGroupStructure(q, fac.phi(), tuple(comps), lattice, index)
 
 
 def dlog(g: UnitGroupStructure, n: int) -> tuple[int, ...]:
     """Exponent tuple of n against the group's generators."""
     n %= g.q
-    if math.gcd(n, g.q) != 1:
+    k = int(g.index[n])
+    if k < 0:
         raise ValueError(f"{n} is not a unit mod {g.q}")
-    return tuple(int(tbl[n % comp.modulus])
-                 for comp, tbl in zip(g.components, g.dlog_tables))
+    return tuple(int(e) for e in np.unravel_index(k, g.orders))
 
 
 def reconstruct(g: UnitGroupStructure, exps: tuple[int, ...]) -> int:
     """Inverse of dlog: the unit residue with the given exponent tuple."""
     if len(exps) != len(g.components):
         raise ValueError("exponent tuple has wrong length")
-    # local value per prime-power part, then CRT
-    locals_: dict[int, int] = {}
-    for (comp, e) in zip(g.components, exps):
-        v = locals_.get(comp.modulus, 1)
-        locals_[comp.modulus] = v * pow(comp.generator, int(e) % comp.order,
-                                        comp.modulus) % comp.modulus
-    n = 0
-    for mod, v in locals_.items():
-        rest = g.q // mod
-        n += v * rest * pow(rest, -1, mod)
-    # parts of q coprime to every component modulus (the factor 2 when
-    # q = 2 mod 4) force n = 1 mod that part, which CRT handles because
-    # their local value is implicitly 1
-    covered = 1
-    for mod in locals_:
-        covered *= mod
-    if covered != g.q:
-        rest = g.q // covered
-        n += 1 * covered * pow(covered, -1, rest)
-    return n % g.q
+    k = np.ravel_multi_index(tuple(int(e) % o for e, o in zip(exps, g.orders)), g.orders)
+    return int(g.lattice[k])
 
 
 def units(q: int) -> np.ndarray:
     """Ascending array of unit residues in [1, q)."""
-    r = np.arange(1, q, dtype=np.int64)
-    return r[np.gcd(r, q) == 1]
+    keep = np.ones(q, dtype=bool)
+    keep[:1] = False
+    for p, _ in factorize(q).factors:
+        keep[::p] = False
+    return np.flatnonzero(keep)
 
 
 def dlog_matrix(g: UnitGroupStructure, ns: np.ndarray) -> list[np.ndarray]:
-    """Vectorized dlog: one exponent array per component, aligned with ns."""
-    out = []
-    for comp, tbl in zip(g.components, g.dlog_tables):
-        out.append(tbl[ns % comp.modulus])
-    return out
+    """Vectorized dlog: one exponent array per component, aligned with ns;
+    raises ValueError if any of ns is not a unit mod g.q."""
+    k = g.index[ns % g.q]
+    if (k < 0).any():
+        raise ValueError(f"dlog_matrix given a non-unit mod {g.q}")
+    return list(np.unravel_index(k, g.orders))

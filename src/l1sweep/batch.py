@@ -66,13 +66,10 @@ def character_sums(g: UnitGroupStructure, us: np.ndarray, unit_values: np.ndarra
     order, which is exactly the lexicographic character order) and one
     envelope radius valid for each output's real and imaginary parts.
     """
-    dims = g.orders
     n = g.phi
-    coords = dlog_matrix(g, us)
-    flat = np.ravel_multi_index(coords, dims)
     lattice = np.zeros(n, dtype=np.complex128)
-    lattice[flat] = unit_values
-    spectrum = np.conj(np.fft.fftn(np.conj(lattice.reshape(dims))))
+    lattice[g.index[us]] = unit_values
+    spectrum = np.conj(np.fft.fftn(np.conj(lattice.reshape(g.orders))))
     max_mag = float(np.max(np.abs(unit_values))) if n else 0.0
     envelope = (_FFT_C * math.log2(max(n, 2)) * _U * n * max_mag
                 + float(np.sum(unit_rads)))
@@ -119,11 +116,11 @@ class LValueRecord:
 def _spectrum(q: int, tol: float):
     """All character sums of one conductor with its masks and (1/3) log q,
     or None when q has no primitive character (q = 2 mod 4), in which case
-    neither the coefficients nor the transform are computed."""
+    neither the unit group, the coefficients nor the transform are built."""
+    if q % 4 == 2:
+        return None
     g = unit_group(q)
     prim = primitive_mask(g)
-    if not prim.any():
-        return None
     coeffs = build_coefficients(q, tol / (2.0 * g.phi))
     spec, env = character_sums(g, coeffs.units, coeffs.mids, coeffs.rads)
     return spec, env, prim, parity_mask(g), Ball.exact(q).log() / 3

@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 success with nothing violated; 1 usage or I/O error, an
-out-of-range q, or a tolerance the coefficients cannot attain, each with
-an error message; 2 a theorem exception, an indeterminate verdict (from
-its first evaluation: tol changes no computed value, so nothing is
-retried), or a failed lemma check.
+out-of-range q, a non-integer $L1SWEEP_THREADS, or a tolerance the
+coefficients cannot attain, each with an error message; 2 a theorem
+exception, an indeterminate verdict (from its first evaluation: tol
+changes no computed value, so nothing is retried), or a failed lemma
+check.
 """
 
 from __future__ import annotations
@@ -34,8 +35,6 @@ def _build_parser() -> _Parser:
     s = sub.add_parser("sweep", help="verify the bound over a conductor range")
     s.add_argument("--qmin", type=int, required=True)
     s.add_argument("--qmax", type=int, required=True)
-    s.add_argument("--all-q", action="store_true",
-                   help="sweep every conductor, not only multiples of 3")
     s.add_argument("--tol", type=float, default=1e-9,
                    help="absolute tolerance per L-value (default 1e-9); it changes "
                         "no computed value, only which conductors are refused")
@@ -63,9 +62,8 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_sweep(args) -> int:
-    divisor = None if args.all_q else 3
     try:
-        summary = sweep(args.qmin, args.qmax, divisor, args.tol, args.threads, args.out)
+        summary = sweep(args.qmin, args.qmax, 3, args.tol, args.threads, args.out)
     except (OSError, ValueError) as e:  # ValueError includes ToleranceError
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -59,7 +59,7 @@ class SweepRow:
 class SweepSummary:
     qmin: int
     qmax: int
-    divisor: int | None
+    divisor: int
     tol: float
     rows: list[SweepRow]
     exceptions: list[SweepRow]        # verdict fail or indeterminate
@@ -98,11 +98,8 @@ def _worker(args: tuple[int, float]) -> tuple[int, list[SweepRow], int]:
     return q, rows, n_prim
 
 
-def conductor_range(qmin: int, qmax: int, divisor: int | None) -> list[int]:
-    qs = range(max(qmin, 3), qmax + 1)
-    if divisor is None:
-        return list(qs)
-    return [q for q in qs if q % divisor == 0]
+def conductor_range(qmin: int, qmax: int, divisor: int) -> list[int]:
+    return [q for q in range(max(qmin, 3), qmax + 1) if q % divisor == 0]
 
 
 def _load_resume(path: str) -> list[SweepRow]:
@@ -134,16 +131,23 @@ def default_threads() -> int:
         try:
             return max(1, int(env))
         except ValueError:
-            pass
+            raise ValueError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
     return 1
 
 
-def sweep(qmin: int, qmax: int, divisor: int | None = 3, tol: float = 1e-9,
+def sweep(qmin: int, qmax: int, divisor: int = 3, tol: float = 1e-9,
           threads: int | None = None, out_path: str | None = None) -> SweepSummary:
-    """Evaluate every conductor in [qmin, qmax] (restricted to divisor | q)
-    against the theorem constants; write one row per (q, parity)."""
+    """Evaluate every conductor in [qmin, qmax] with divisor | q against the
+    theorem constants; write one row per (q, parity).
+
+    The theorem holds only for 3 | q, so divisor must be a positive
+    multiple of 3.
+    """
     if not 3 <= qmin <= qmax:
         raise ValueError("need 3 <= qmin <= qmax")
+    if divisor is None or divisor <= 0 or divisor % 3:
+        raise ValueError(f"the theorem needs 3 | q: divisor must be a positive "
+                         f"multiple of 3, got {divisor}")
     threads = threads if threads is not None else default_threads()
     t0 = time.perf_counter()
     qs = conductor_range(qmin, qmax, divisor)
@@ -240,8 +244,7 @@ def emit_figure_data(rows_path: str, parity: str, out_path: str) -> int:
 
 def summarize(summary: SweepSummary) -> str:
     lines = [
-        f"conductors {summary.qmin}..{summary.qmax}"
-        + (f" with {summary.divisor} | q" if summary.divisor else " (all q)"),
+        f"conductors {summary.qmin}..{summary.qmax} with {summary.divisor} | q",
         f"conductors processed:  {summary.n_conductors}",
         f"primitive characters:  {summary.n_characters}",
         f"wall time:             {summary.wall_seconds:.2f} s",

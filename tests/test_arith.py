@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from l1sweep.arith import (dlog, euler_phi, factorize, reconstruct,
+from l1sweep.arith import (dlog, dlog_matrix, euler_phi, factorize, reconstruct,
                            smallest_primitive_root, unit_group, units)
 
 
@@ -84,6 +84,8 @@ def test_dlog_rejects_non_units():
     for n in (0, 2, 3, 4, 6, 8, 9, 10):
         with pytest.raises(ValueError):
             dlog(g, n)
+    with pytest.raises(ValueError):
+        dlog_matrix(g, np.array([1, 5, 6]))
 
 
 def test_dlog_roundtrip_exhaustive_to_1000():
@@ -101,8 +103,36 @@ def test_dlog_roundtrip_exhaustive_to_1000():
 def test_unit_group_deterministic():
     a, b = unit_group(360), unit_group(360)
     assert a.components == b.components
-    for ta, tb in zip(a.dlog_tables, b.dlog_tables):
-        assert np.array_equal(ta, tb)
+    assert np.array_equal(a.lattice, b.lattice)
+    assert np.array_equal(a.index, b.index)
+
+
+def _gcd_units(q: int) -> np.ndarray:
+    # the definition, kept as the oracle for the sieve and the lattice
+    return np.flatnonzero(np.gcd(np.arange(q), q) == 1)
+
+
+@pytest.mark.parametrize("qs", [
+    range(3, 1001),
+    [3 * 2 ** e * p for e in range(11) for p in (1, 5, 7, 11, 13)],
+], ids=["3..1000", "3*2^e*p"])
+def test_unit_lattice_against_definitions(qs):
+    for q in qs:
+        g = unit_group(q)
+        want = _gcd_units(q)
+        assert np.array_equal(units(q), want), q
+        assert np.array_equal(np.sort(g.lattice), want), q
+        assert np.array_equal(g.index[g.lattice], np.arange(g.phi)), q
+        assert np.array_equal(np.flatnonzero(g.index >= 0), want), q
+        # lattice position k holds prod_i generator_i^k_i in every part
+        ks = np.unravel_index(np.arange(g.phi), g.orders)
+        for m in {c.modulus for c in g.components}:
+            local = np.ones(g.phi, dtype=np.int64)
+            for c, k in zip(g.components, ks):
+                if c.modulus == m:
+                    pows = np.array([pow(c.generator, e, m) for e in range(c.order)])
+                    local = local * pows[k] % m
+            assert np.array_equal(g.lattice % m, local), (q, m)
 
 
 def test_smallest_primitive_root_known_values():

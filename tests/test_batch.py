@@ -117,12 +117,28 @@ def test_units_enumerated_once_per_conductor(monkeypatch):
     assert calls == [999]
 
 
+def test_spectrum_needs_no_dlog_matrix(monkeypatch):
+    # the scatter reads the unit lattice's index; dlog_matrix serves the oracle
+    want = batch_maxima(999)
+
+    def no_dlog_matrix(g, ns):
+        raise AssertionError("dlog_matrix called on the production path")
+
+    monkeypatch.setattr(batch, "dlog_matrix", no_dlog_matrix)
+    assert batch_maxima(999) == want
+
+
 def test_no_spectrum_without_primitive_characters(monkeypatch):
-    # q = 2 mod 4 has no primitive character: no coefficients, no transform
+    # q = 2 mod 4 has no primitive character: no unit group, no
+    # coefficients, no transform
     def no_digamma(x):
         raise AssertionError("digamma evaluated for a conductor with no primitive character")
 
+    def no_unit_group(q):
+        raise AssertionError("unit group built for a conductor with no primitive character")
+
     monkeypatch.setattr(batch, "digamma_points", no_digamma)
+    monkeypatch.setattr(batch, "unit_group", no_unit_group)
     for q in (30, 6):
         assert batch_maxima(q) == ([], 0)
         assert l_values(q) == []

@@ -70,6 +70,14 @@ def test_lvalue_bad_input_exits_1(q, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_sweep_bad_threads_env_exits_1(monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv("L1SWEEP_THREADS", "abc")
+    assert main(["sweep", "--qmin", "3", "--qmax", "9",
+                 "--out", str(tmp_path / "rows.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "L1SWEEP_THREADS" in err
+
+
 def test_sweep_unwritable_output(capsys):
     code = main(["sweep", "--qmin", "3", "--qmax", "9",
                  "--out", "/nonexistent-dir/rows.csv"])
@@ -101,6 +109,10 @@ def test_usage_errors_exit_1():
     assert exc.value.code == 1
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
+    assert exc.value.code == 1
+    with pytest.raises(SystemExit) as exc:
+        # the theorem needs 3 | q; only `count` takes --all-q
+        main(["sweep", "--qmin", "3", "--qmax", "60", "--all-q", "--out", "rows.csv"])
     assert exc.value.code == 1
 
 

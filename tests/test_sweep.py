@@ -18,7 +18,6 @@ sweep_mod = importlib.import_module("l1sweep.sweep")
 
 def test_conductor_range_restriction():
     assert conductor_range(3, 12, 3) == [3, 6, 9, 12]
-    assert conductor_range(3, 7, None) == [3, 4, 5, 6, 7]
     assert conductor_range(1, 5, 3) == [3]
 
 
@@ -40,8 +39,15 @@ def test_sweep_3_to_9(tmp_path):
 def test_sweep_counts_match_count_primitive(tmp_path):
     summary = sweep(3, 200, 3, out_path=str(tmp_path / "r.csv"))
     assert summary.n_characters == count_primitive(200, 3)
-    summary_all = sweep(3, 100, None, out_path=str(tmp_path / "r2.csv"))
-    assert summary_all.n_characters == count_primitive(100) - 1  # q=1 not swept
+
+
+@pytest.mark.parametrize("divisor", [None, 1, 2, 4, 0, -3])
+def test_sweep_refuses_conductors_without_3(divisor, tmp_path):
+    # the theorem's constants do not apply when 3 does not divide q
+    out = tmp_path / "rows.csv"
+    with pytest.raises(ValueError, match="multiple of 3"):
+        sweep(3, 60, divisor, out_path=str(out))
+    assert not out.exists()
 
 
 def test_row_roundtrip():
@@ -152,7 +158,8 @@ def test_threads_env_var_default(monkeypatch):
     monkeypatch.setenv("L1SWEEP_THREADS", "6")
     assert default_threads() == 6
     monkeypatch.setenv("L1SWEEP_THREADS", "junk")
-    assert default_threads() == 1
+    with pytest.raises(ValueError, match="L1SWEEP_THREADS"):
+        default_threads()
 
 
 @pytest.mark.parametrize("q", [9, 111, 249, 999, 1533, 2997, 9999])
