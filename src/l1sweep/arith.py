@@ -100,7 +100,8 @@ class UnitGroupStructure:
     components: tuple[Component, ...]
     # lattice[k] is the unit at flat position k (C order) of the exponent
     # lattice, prod_i G_i^{k_i} mod q with G_i the CRT lift of component
-    # i's generator; index[n] is the position of n, or -1 on a non-unit.
+    # i's generator; index[n] (int32) is the position of n, or -1 on a
+    # non-unit.
     lattice: np.ndarray = field(repr=False)
     index: np.ndarray = field(repr=False)
 
@@ -150,8 +151,9 @@ def unit_group(q: int) -> UnitGroupStructure:
         # the generator mod its part, 1 mod the rest of q
         lift = (1 + (c.generator - 1) * rest * pow(rest, -1, c.modulus)) % q
         lattice = (lattice[:, None] * _powers(lift, c.order, q)[None, :] % q).ravel()
-    index = np.full(q, -1, dtype=np.int64)
-    index[lattice] = np.arange(lattice.size, dtype=np.int64)
+    # positions are below phi(q) < q < 2^31, so int32 holds them
+    index = np.full(q, -1, dtype=np.int32)
+    index[lattice] = np.arange(lattice.size, dtype=np.int32)
     return UnitGroupStructure(q, fac.phi(), tuple(comps), lattice, index)
 
 

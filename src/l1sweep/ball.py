@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 _EPS = 2.0 ** -52
 # a single op does at most a handful of radius-arithmetic roundings, each
 # contributing <= 2^-53 relative; 2^-46 covers that with a wide margin
@@ -31,9 +33,18 @@ class BallDomainError(ValueError):
 
 
 def _out(mid: float, rad: float) -> "Ball":
-    if math.isinf(mid) or math.isnan(mid) or math.isinf(rad) or math.isnan(rad):
+    if not (math.isfinite(mid) and math.isfinite(rad)):
         raise ArithmeticError("ball operation produced a non-finite value")
     return Ball(mid, (rad + abs(mid) * _EPS) * _SLOP + _TINY)
+
+
+def _out_array(mid: np.ndarray, rad: np.ndarray) -> np.ndarray:
+    """Entry by entry the radius `_out(mid, rad)` gives, as a float64 array:
+    the same formula in the same operation order, so every entry is
+    bit-identical to the scalar result."""
+    if not (np.isfinite(mid).all() and np.isfinite(rad).all()):
+        raise ArithmeticError("ball operation produced a non-finite value")
+    return (rad + np.abs(mid) * _EPS) * _SLOP + _TINY
 
 
 def _coerce(x) -> "Ball":

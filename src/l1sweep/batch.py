@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import UnitGroupStructure, dlog_matrix, unit_group, units
-from .ball import Ball, ComplexBall
+from .ball import Ball, ComplexBall, _out_array
 from .characters import (Character, _lcm_orders, parity_mask, primitive_mask,
                          roots_of_unity)
 from .special import ToleranceError, digamma_points
@@ -101,7 +101,7 @@ def direct_sum(g: UnitGroupStructure, coeffs: CoefficientVector,
     return ComplexBall(Ball(re, rad), Ball(im, rad))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LValueRecord:
     """One primitive character's L(1,chi) and its excess over (log q)/3."""
 
@@ -131,6 +131,11 @@ def l_values(q: int, tol: float = 1e-9) -> list[LValueRecord]:
 
     Conductors with no primitive characters (q = 2 mod 4) yield an empty
     list.  Records appear in character enumeration order.
+
+    The ball arithmetic runs on arrays, once per conductor, and every
+    float of every record is bit-identical to the scalar path: the value
+    ball's `.abs()` (ball_hypot, with math.hypot on each midpoint pair)
+    for `abs_value`, then `abs_value - log3` for `excess`.
     """
     if q < 3:
         raise ValueError(f"l_values requires q >= 3, got {q}")
@@ -138,15 +143,18 @@ def l_values(q: int, tol: float = 1e-9) -> list[LValueRecord]:
     if sp is None:
         return []
     spec, env, prim, odd, log3 = sp
-    out = []
-    for i in np.flatnonzero(prim):
-        i = int(i)
-        z = spec[i]
-        value = ComplexBall(Ball(float(z.real), env), Ball(float(z.imag), env))
-        a = value.abs()
-        out.append(LValueRecord(q, i, "odd" if odd[i] else "even",
-                                value, a, a - log3))
-    return out
+    idx = np.flatnonzero(prim)
+    re, im = spec.real[idx].tolist(), spec.imag[idx].tolist()
+    # math.hypot as in ball_hypot; np.hypot need not round the same way
+    abs_mid = np.array(list(map(math.hypot, re, im)), dtype=np.float64)
+    abs_rad = _out_array(abs_mid, env + env + 2.0 * _EPS * abs_mid)
+    ex_mid = abs_mid - log3.mid
+    ex_rad = _out_array(ex_mid, abs_rad + log3.rad)
+    return [LValueRecord(q, i, "odd" if o else "even",
+                         ComplexBall(Ball(x, env), Ball(y, env)), Ball(a, ar), Ball(e, er))
+            for i, o, x, y, a, ar, e, er in zip(
+                idx.tolist(), odd[idx].tolist(), re, im, abs_mid.tolist(),
+                abs_rad.tolist(), ex_mid.tolist(), ex_rad.tolist())]
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .ball import Ball, PI
 from .batch import LValueRecord
@@ -66,7 +67,7 @@ def c_odd_limit() -> Ball:
     return Ball.exact(5) / 3 - Ball.exact(12).log() / 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundReport:
     """Outcome of comparing one L-value record against a bound constant."""
 
@@ -87,6 +88,12 @@ def _verdict(margin: Ball) -> str:
     return "indeterminate"
 
 
+@lru_cache(maxsize=64)
+def _bound(q: int, const: Ball) -> Ball:
+    """(1/3) log q + const, computed once per (conductor, constant)."""
+    return Ball.exact(q).log() / 3 + const
+
+
 def check_theorem(rec: LValueRecord,
                   constants: tuple[Ball, Ball] | None = None) -> BoundReport:
     """Three-valued comparison of |L(1,chi)| against (1/3)log q + C.
@@ -95,9 +102,14 @@ def check_theorem(rec: LValueRecord,
     fixed literals.  Pass (c_even(q), c_odd(q)) for the sharper per-q
     comparison.  The report records whether 3 | q, i.e. whether the
     theorem formally applies to this conductor.
+
+    The bound is cached per (q, constant), so the records of one
+    conductor share one bound ball and each costs one Ball subtraction;
+    every float of the report is bit-identical to computing
+    `Ball.exact(q).log() / 3 + const` afresh for each record.
     """
     const = theorem_constant(rec.parity, constants)
-    bound = Ball.exact(rec.q).log() / 3 + const
+    bound = _bound(rec.q, const)
     margin = bound - rec.abs_value
     return BoundReport(rec.q, rec.parity, const, bound, margin,
                        _verdict(margin), rec.q % 3 == 0)

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success with nothing violated; 1 usage or I/O error, an
-out-of-range q, a non-integer $L1SWEEP_THREADS, or a tolerance the
-coefficients cannot attain, each with an error message; 2 a theorem
+out-of-range q, a non-integer $L1SWEEP_THREADS, a row file to resume that
+another run wrote, or a tolerance the coefficients cannot attain, each
+with an error message; 2 a theorem
 exception, an indeterminate verdict (from its first evaluation: tol
 changes no computed value, so nothing is retried), or a failed lemma
 check.

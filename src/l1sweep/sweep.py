@@ -4,7 +4,8 @@ One work unit is one conductor; conductors are independent, so a process
 pool maps over them while a single writer emits rows in ascending-q
 order.  Row files are plain UTF-8 CSV with shortest round-trip floats,
 so two sweeps of the same range are byte-identical regardless of thread
-count, and an interrupted sweep resumes from its last complete row.
+count, and an interrupted sweep resumes from its last complete row.  A
+row file whose rows are not a prefix of this run's conductors is refused.
 """
 
 from __future__ import annotations
@@ -159,6 +160,13 @@ def sweep(qmin: int, qmax: int, divisor: int = 3, tol: float = 1e-9,
         qlast = max(r.q for r in resumed)
         resumed = [r for r in resumed if r.q < qlast]
     resume_from = max((r.q for r in resumed), default=0)
+    # a resumed prefix must be exactly this run's conductors up to the
+    # resume point (q = 2 mod 4 has no primitive characters, so no rows);
+    # anything else was written by another run and is refused untouched
+    if {r.q for r in resumed} != {q for q in qs if q <= resume_from and q % 4 != 2}:
+        raise ValueError(f"{out_path} holds rows that are not a prefix of this "
+                         f"run's conductors {qmin}..{qmax} with {divisor} | q; "
+                         "refusing to resume from it")
     todo = [q for q in qs if q > resume_from]
 
     rows: list[SweepRow] = list(resumed)

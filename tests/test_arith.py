@@ -107,6 +107,13 @@ def test_unit_group_deterministic():
     assert np.array_equal(a.index, b.index)
 
 
+def test_unit_group_index_is_int32():
+    # positions are below phi(q) < 2^31; half the bytes of an int64 index
+    g = unit_group(999999)
+    assert g.index.dtype == np.int32 and g.index.nbytes == 4 * 999999
+    assert np.array_equal(g.index[g.lattice], np.arange(g.phi))
+
+
 def _gcd_units(q: int) -> np.ndarray:
     # the definition, kept as the oracle for the sieve and the lattice
     return np.flatnonzero(np.gcd(np.arange(q), q) == 1)

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from l1sweep.ball import Ball, BallDomainError, ComplexBall, PI, ball_hypot
+from l1sweep.ball import (Ball, BallDomainError, ComplexBall, PI, _out, _out_array,
+                          ball_hypot)
 
 mp.mp.dps = 40
 
@@ -142,3 +143,27 @@ def test_positivity_predicates():
     assert not Ball(1.0, 1.5).is_positive()
     assert Ball(-1.0, 0.5).is_negative()
     assert not Ball(0.0, 0.1).is_positive()
+
+
+def test_out_array_matches_scalar_out():
+    rng = np.random.default_rng(3)
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1074 * 3, 2.2250738585072014e-308 / 3,
+               1e-290, 1e300, -1e300, 1.0, -1.0]
+    randoms = (rng.uniform(-1, 1, 2000) * 10.0 ** rng.uniform(-300, 300, 2000)).tolist()
+    mids = special * len(special) + randoms
+    rads = [abs(r) for r in special for _ in special] + np.abs(
+        rng.uniform(0, 1, 2000) * 10.0 ** rng.uniform(-300, 300, 2000)).tolist()
+    got = _out_array(np.array(mids), np.array(rads))
+    assert got.dtype == np.float64
+    for m, r, g in zip(mids, rads, got.tolist()):
+        assert g.hex() == _out(m, r).rad.hex(), (m, r)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_out_array_rejects_non_finite(bad):
+    ok = np.array([1.0, 2.0, 3.0])
+    for mid, rad in ((np.array([1.0, bad, 3.0]), ok), (ok, np.array([1.0, bad, 3.0]))):
+        with pytest.raises(ArithmeticError):
+            _out_array(mid, rad)
+        with pytest.raises(ArithmeticError):
+            _out(float(mid[1]), float(rad[1]))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from l1sweep.arith import unit_group, units
-from l1sweep.ball import Ball
+from l1sweep.ball import Ball, ComplexBall
 from l1sweep import batch
 from l1sweep.batch import (batch_maxima, build_coefficients, character_sums,
                            direct_sum, l_values)
@@ -142,6 +142,24 @@ def test_no_spectrum_without_primitive_characters(monkeypatch):
     for q in (30, 6):
         assert batch_maxima(q) == ([], 0)
         assert l_values(q) == []
+
+
+def _bits(rec):
+    balls = (rec.value.re, rec.value.im, rec.abs_value, rec.excess)
+    return (rec.q, rec.index, rec.parity) + tuple(x.hex() for b in balls for x in (b.mid, b.rad))
+
+
+@pytest.mark.parametrize("q", [3, 5, 9, 249, 996, 4096, 9999])
+def test_l_values_match_scalar_path(q):
+    # the per-record Ball arithmetic, kept as the reference for the array pass
+    spec, env, prim, odd, log3 = batch._spectrum(q, 1e-9)
+    want = []
+    for i in np.flatnonzero(prim).tolist():
+        value = ComplexBall(Ball(float(spec[i].real), env), Ball(float(spec[i].imag), env))
+        a = value.abs()
+        want.append(batch.LValueRecord(q, i, "odd" if odd[i] else "even", value, a, a - log3))
+    got = l_values(q)
+    assert [_bits(r) for r in got] == [_bits(r) for r in want]
 
 
 def test_l_values_rejects_small_q():

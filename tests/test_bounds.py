@@ -5,6 +5,7 @@ import math
 import mpmath as mp
 import pytest
 
+from l1sweep import bounds
 from l1sweep.ball import Ball
 from l1sweep.batch import LValueRecord, l_values
 from l1sweep.bounds import (THEOREM_EVEN, THEOREM_ODD, c_even, c_even_limit,
@@ -153,3 +154,32 @@ def test_excess_margin_matches_check_theorem():
     rep = check_theorem(rec)
     assert verdict == rep.verdict
     assert abs(margin.mid - rep.margin.mid) < 1e-12
+
+
+def _hex(b: Ball) -> tuple[str, str]:
+    return b.mid.hex(), b.rad.hex()
+
+
+def test_cached_bound_equals_uncached_expression():
+    # the theorem's constants and c_even(q), c_odd(q) alternate for each q,
+    # so a cache that let two constants of one q collide would fail here
+    for q in (3, 9, 249, 996, 99999):
+        recs = l_values(q)
+        for consts in (None, (c_even(q), c_odd(q))):
+            for rec in recs:
+                rep = check_theorem(rec, consts)
+                const = theorem_constant(rec.parity, consts)
+                bound = Ball.exact(q).log() / 3 + const
+                assert _hex(rep.constant) == _hex(const)
+                assert _hex(rep.bound) == _hex(bound)
+                assert _hex(rep.margin) == _hex(bound - rec.abs_value)
+
+
+def test_bound_computed_once_per_conductor_and_constant():
+    bounds._bound.cache_clear()
+    recs = l_values(249)
+    for rec in recs:
+        check_theorem(rec)
+    info = bounds._bound.cache_info()
+    assert {r.parity for r in recs} == {"even", "odd"}
+    assert (info.misses, info.hits) == (2, len(recs) - 2)

@@ -78,6 +78,16 @@ def test_sweep_bad_threads_env_exits_1(monkeypatch, tmp_path, capsys):
     assert err.startswith("error: ") and "L1SWEEP_THREADS" in err
 
 
+def test_sweep_mixed_range_resume_exits_1(tmp_path, capsys):
+    out = tmp_path / "rows.csv"
+    assert main(["sweep", "--qmin", "300", "--qmax", "600", "--out", str(out)]) == 0
+    before = out.read_bytes()
+    capsys.readouterr()
+    assert main(["sweep", "--qmin", "3", "--qmax", "600", "--out", str(out)]) == 1
+    assert "not a prefix" in capsys.readouterr().err
+    assert out.read_bytes() == before
+
+
 def test_sweep_unwritable_output(capsys):
     code = main(["sweep", "--qmin", "3", "--qmax", "9",
                  "--out", "/nonexistent-dir/rows.csv"])

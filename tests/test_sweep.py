@@ -111,6 +111,23 @@ def test_resume_noop_when_complete(tmp_path):
         assert fh.read() == before
 
 
+def test_resume_refuses_rows_of_another_run(tmp_path):
+    # rows for 300..597 are not a prefix of 3..600: conductors 3..297
+    # were never evaluated, so they must not be certified
+    path = tmp_path / "rows.csv"
+    sweep(300, 600, 3, out_path=str(path))
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match="not a prefix"):
+        sweep(3, 600, 3, out_path=str(path))
+    assert path.read_bytes() == before
+    # nor may a run with another divisor take the rows over
+    sweep(3, 120, 6, out_path=str(path))
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match="not a prefix"):
+        sweep(3, 120, 3, out_path=str(path))
+    assert path.read_bytes() == before
+
+
 def test_sweep_validates_range():
     with pytest.raises(ValueError):
         sweep(2, 1)
