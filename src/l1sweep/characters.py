@@ -125,11 +125,6 @@ def _conductor_of(g: UnitGroupStructure, exps: tuple[int, ...]) -> int:
     raise AssertionError("conductor search exhausted all divisors")
 
 
-def conductor_of(chi: Character) -> int:
-    """Smallest f | q such that chi is induced by a character mod f."""
-    return _conductor_of(chi.group, chi.exps)
-
-
 def character_from_exps(g: UnitGroupStructure, exps: tuple[int, ...]) -> Character:
     exps = tuple(int(e) % c.order for e, c in zip(exps, g.components))
     cond = _conductor_of(g, exps)
@@ -247,36 +242,27 @@ def count_primitive(q_max: int, divisor: int | None = None) -> int:
     """Number of primitive characters with conductor q <= q_max, optionally
     restricted to divisor | q.
 
-    Computed by sieving phi and mu and convolving phi*(q) =
-    sum_{d|q} mu(d) phi(q/d).  q = 1 contributes its single (trivial)
-    character when unrestricted.
+    phi*(q) is multiplicative, with phi*(p) = p - 2 and phi*(p^e) =
+    p^(e-2) (p-1)^2 for e >= 2, so it is sieved one prime p <= sqrt(q_max)
+    at a time.  Once those primes are divided out, what is left of q is 1
+    or a single prime p > sqrt(q_max), which contributes p - 2.  q = 1
+    contributes its single (trivial) character when unrestricted.
     """
     if q_max < 1:
         raise ValueError("q_max must be >= 1")
     n = q_max
-    phi = np.arange(n + 1, dtype=np.int64)
-    for p in range(2, n + 1):
-        if phi[p] == p:  # p untouched so far <=> prime
-            phi[p::p] -= phi[p::p] // p
-    mu = np.ones(n + 1, dtype=np.int64)
-    sieve = np.ones(n + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, int(math.isqrt(n)) + 1):
-        if sieve[p]:
-            sieve[p * p::p] = False
-            mu[p::p] *= -1
-            mu[p * p::p * p] = 0
-    for p in range(int(math.isqrt(n)) + 1, n + 1):
-        if sieve[p]:
-            mu[p::p] *= -1
-    phistar = np.zeros(n + 1, dtype=np.int64)
-    for d in range(1, n + 1):
-        md = mu[d]
-        if md:
-            phistar[d::d] += md * phi[1:n // d + 1]
-    qs = np.arange(n + 1)
-    mask = qs >= 1
-    if divisor is not None:
-        mask &= qs % divisor == 0
-        mask &= qs > 0
-    return int(phistar[mask].sum())
+    phistar = np.ones(n + 1, dtype=np.int64)
+    phistar[0] = 0
+    rest = np.arange(n + 1, dtype=np.int64)
+    for p in range(2, math.isqrt(n) + 1):
+        if rest[p] != p:  # a smaller prime divides p
+            continue
+        ppart = np.full(n // p, p, dtype=np.int64)  # p-part of q = (i + 1) p
+        pe = p
+        while pe <= n // p:
+            ppart[pe - 1::pe] *= p
+            pe *= p
+        rest[p::p] //= ppart
+        phistar[p::p] *= np.where(ppart == p, p - 2, (p - 1) ** 2 * (ppart // (p * p)))
+    phistar *= np.where(rest > 1, rest - 2, 1)
+    return int(phistar.sum() if divisor is None else phistar[::abs(divisor)].sum())

@@ -2,10 +2,14 @@
 
 One work unit is one conductor; conductors are independent, so a process
 pool maps over them while a single writer emits rows in ascending-q
-order.  Row files are plain UTF-8 CSV with shortest round-trip floats,
-so two sweeps of the same range are byte-identical regardless of thread
-count, and an interrupted sweep resumes from its last complete row.  A
-row file whose rows are not a prefix of this run's conductors is refused.
+order.  The row file is the only store of rows: the summary's maxima and
+exceptions are folded from each row as it arrives.  Row files are plain
+UTF-8 CSV with shortest round-trip floats, so two sweeps of the same
+range are byte-identical regardless of thread count.  An interrupted
+sweep resumes by truncating the file where its last conductor's rows
+start and appending from there; the rows before that point are read and
+never written again.  A row file whose rows are not a prefix of this
+run's conductors is refused untouched.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 from .ball import Ball
@@ -21,7 +26,7 @@ from .bounds import excess_margin, theorem_constant
 from .characters import count_primitive
 
 THREADS_ENV = "L1SWEEP_THREADS"
-_HEADER = "q,parity,excess_mid,excess_rad,index,constant,margin_mid,margin_rad,verdict,ambiguous"
+_HEADER = b"q,parity,excess_mid,excess_rad,index,constant,margin_mid,margin_rad,verdict,ambiguous\n"
 
 
 @dataclass(frozen=True)
@@ -62,7 +67,6 @@ class SweepSummary:
     qmax: int
     divisor: int
     tol: float
-    rows: list[SweepRow]
     exceptions: list[SweepRow]        # verdict fail or indeterminate
     maxima: dict[str, SweepRow]       # parity -> row achieving the global max
     n_conductors: int
@@ -103,27 +107,28 @@ def conductor_range(qmin: int, qmax: int, divisor: int) -> list[int]:
     return [q for q in range(max(qmin, 3), qmax + 1) if q % divisor == 0]
 
 
-def _load_resume(path: str) -> list[SweepRow]:
-    """Complete rows of an existing row file (a trailing partial line is
-    dropped, so restarts continue from the last whole row)."""
-    if not path or not os.path.exists(path):
-        return []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        text = fh.read()
-    lines = text.split("\n")
-    if not lines or lines[0] != _HEADER:
-        return []
-    if text and not text.endswith("\n"):
-        lines = lines[:-1]  # partial final row
-    rows = []
-    for ln in lines[1:]:
-        if not ln:
-            continue
-        try:
-            rows.append(SweepRow.parse(ln))
-        except ValueError:
-            break
-    return rows
+def _load_resume(fh):
+    """Complete rows of a row file open in binary mode, in file order, each
+    with the byte offset where it starts; None when the file does not
+    start with the header.  A trailing partial line is dropped and a
+    malformed row ends the read, so a restart continues from the last
+    whole row."""
+    fh.seek(0)
+    if fh.readline() != _HEADER:
+        return None
+
+    def rows():
+        offset = len(_HEADER)
+        for line in fh:
+            if not line.endswith(b"\n"):
+                return  # partial final row
+            try:
+                row = SweepRow.parse(line.decode())
+            except ValueError:
+                return
+            yield offset, row
+            offset += len(line)
+    return rows()
 
 
 def default_threads() -> int:
@@ -142,7 +147,9 @@ def sweep(qmin: int, qmax: int, divisor: int = 3, tol: float = 1e-9,
     theorem constants; write one row per (q, parity).
 
     The theorem holds only for 3 | q, so divisor must be a positive
-    multiple of 3.
+    multiple of 3.  An existing row file at out_path is resumed: its last
+    conductor is recomputed and every conductor before it is taken from
+    the file.
     """
     if not 3 <= qmin <= qmax:
         raise ValueError("need 3 <= qmin <= qmax")
@@ -152,50 +159,59 @@ def sweep(qmin: int, qmax: int, divisor: int = 3, tol: float = 1e-9,
     threads = threads if threads is not None else default_threads()
     t0 = time.perf_counter()
     qs = conductor_range(qmin, qmax, divisor)
-
-    resumed = [r for r in _load_resume(out_path) if qmin <= r.q <= qmax] if out_path else []
-    if resumed:
-        # the last conductor's row group may have been cut mid-write;
-        # recompute it wholesale
-        qlast = max(r.q for r in resumed)
-        resumed = [r for r in resumed if r.q < qlast]
-    resume_from = max((r.q for r in resumed), default=0)
-    # a resumed prefix must be exactly this run's conductors up to the
-    # resume point (q = 2 mod 4 has no primitive characters, so no rows);
-    # anything else was written by another run and is refused untouched
-    if {r.q for r in resumed} != {q for q in qs if q <= resume_from and q % 4 != 2}:
-        raise ValueError(f"{out_path} holds rows that are not a prefix of this "
-                         f"run's conductors {qmin}..{qmax} with {divisor} | q; "
-                         "refusing to resume from it")
-    todo = [q for q in qs if q > resume_from]
-
-    rows: list[SweepRow] = list(resumed)
+    maxima: dict[str, SweepRow] = {}
+    exceptions: list[SweepRow] = []
     n_characters = 0
-    fh = None
-    if out_path:
-        fh = open(out_path, "w" if not resumed else "r+", encoding="utf-8", newline="")
-        if resumed:
-            # keep header + resumed rows, truncate anything beyond
-            fh.seek(0)
-            fh.write(_HEADER + "\n")
-            for r in resumed:
-                fh.write(r.line() + "\n")
-            fh.truncate()
-        else:
-            fh.write(_HEADER + "\n")
-        fh.flush()
+
+    def fold(r: SweepRow) -> None:
+        # strict > in ascending q keeps the first row that reaches a maximum
+        cur = maxima.get(r.parity)
+        if cur is None or r.excess_mid > cur.excess_mid:
+            maxima[r.parity] = r
+        if r.verdict != "pass":
+            exceptions.append(r)
 
     def consume(result):
         nonlocal n_characters
-        _, new_rows, n_prim = result
+        _, rows, n_prim = result
         n_characters += n_prim
-        rows.extend(new_rows)
+        for r in rows:
+            fold(r)
+            if fh is not None:
+                fh.write(r.line().encode() + b"\n")
         if fh is not None:
-            for r in new_rows:
-                fh.write(r.line() + "\n")
             fh.flush()
 
-    try:
+    # in append mode every write lands at the end, wherever it was truncated
+    with open(out_path, "a+b") if out_path else nullcontext() as fh:
+        found = _load_resume(fh) if fh is not None else None
+        # the file's conductors must be this run's own from the first one
+        # onward (q = 2 mod 4 has no primitive characters, so no rows); its
+        # last conductor may have been cut mid-write, so it is recomputed
+        # from the offset where its rows start
+        due = (q for q in qs if q % 4 != 2)
+        start, done, group = 0 if found is None else len(_HEADER), 0, []
+        for offset, r in found or ():
+            if group and r.q == group[0].q:
+                group.append(r)
+                continue
+            if r.q != next(due, None):
+                raise ValueError(f"{out_path} holds rows that are not a prefix of this "
+                                 f"run's conductors {qmin}..{qmax} with {divisor} | q; "
+                                 "refusing to resume from it")
+            for g in group:
+                fold(g)
+            done = group[0].q if group else 0
+            start, group = offset, [r]
+        if done:
+            # per-conductor counts of the folded prefix were not re-run
+            n_characters = count_primitive(done, divisor) - count_primitive(qmin - 1, divisor)
+        if fh is not None:
+            fh.truncate(start)
+            if not start:
+                fh.write(_HEADER)
+            fh.flush()
+        todo = [q for q in qs if q > done]
         if threads <= 1 or len(todo) <= 1:
             for q in todo:
                 consume(_worker((q, tol)))
@@ -206,22 +222,8 @@ def sweep(qmin: int, qmax: int, divisor: int = 3, tol: float = 1e-9,
                 for result in pool.map(_worker, [(q, tol) for q in todo],
                                        chunksize=chunk):
                     consume(result)
-    finally:
-        if fh is not None:
-            fh.close()
 
-    if resumed:
-        # per-conductor counts of the resumed prefix were not re-run
-        n_characters = (count_primitive(qmax, divisor)
-                        - (count_primitive(qmin - 1, divisor) if qmin > 1 else 0))
-
-    maxima: dict[str, SweepRow] = {}
-    for r in rows:
-        cur = maxima.get(r.parity)
-        if cur is None or r.excess_mid > cur.excess_mid:
-            maxima[r.parity] = r
-    exceptions = [r for r in rows if r.verdict != "pass"]
-    return SweepSummary(qmin, qmax, divisor, tol, rows, exceptions, maxima,
+    return SweepSummary(qmin, qmax, divisor, tol, exceptions, maxima,
                         len(qs), n_characters, time.perf_counter() - t0)
 
 
@@ -233,20 +235,16 @@ def emit_figure_data(rows_path: str, parity: str, out_path: str) -> int:
     """
     if parity not in ("even", "odd"):
         raise ValueError("parity must be 'even' or 'odd'")
-    if not os.path.exists(rows_path):
-        raise FileNotFoundError(rows_path)
-    rows = _load_resume(rows_path)
-    if not rows:
-        with open(rows_path, encoding="utf-8") as fh:
-            first = fh.readline().rstrip("\n")
-        if first != _HEADER:
-            raise ValueError(f"{rows_path} is not a sweep row file")
     n = 0
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        for r in rows:
-            if r.parity == parity:
-                fh.write(f"{r.q} {r.excess_mid!r}\n")
-                n += 1
+    with open(rows_path, "rb") as fh:
+        rows = _load_resume(fh)
+        if rows is None:
+            raise ValueError(f"{rows_path} is not a sweep row file")
+        with open(out_path, "w", encoding="utf-8", newline="") as out:
+            for _, r in rows:
+                if r.parity == parity:
+                    out.write(f"{r.q} {r.excess_mid!r}\n")
+                    n += 1
     return n
 
 

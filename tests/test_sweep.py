@@ -16,6 +16,12 @@ from l1sweep.sweep import (SweepRow, _load_resume, conductor_range,
 sweep_mod = importlib.import_module("l1sweep.sweep")
 
 
+def read_rows(path):
+    """The complete rows of a row file, through the reader a resume uses."""
+    with open(path, "rb") as fh:
+        return [row for _, row in _load_resume(fh)]
+
+
 def test_conductor_range_restriction():
     assert conductor_range(3, 12, 3) == [3, 6, 9, 12]
     assert conductor_range(1, 5, 3) == [3]
@@ -24,10 +30,11 @@ def test_conductor_range_restriction():
 def test_sweep_3_to_9(tmp_path):
     out = str(tmp_path / "rows.csv")
     summary = sweep(3, 9, 3, out_path=out)
-    qs = {(r.q, r.parity) for r in summary.rows}
+    rows = read_rows(out)
+    qs = {(r.q, r.parity) for r in rows}
     # q=3 has one odd primitive character; q=6 none; q=9 has both parities
     assert qs == {(3, "odd"), (9, "even"), (9, "odd")}
-    r3 = [r for r in summary.rows if r.q == 3][0]
+    r3 = [r for r in rows if r.q == 3][0]
     assert abs(r3.excess_mid - 0.2383956918553694) < 1e-10
     assert summary.verified
     assert summary.n_conductors == 3
@@ -59,8 +66,9 @@ def test_row_roundtrip():
 
 
 def test_sweep_rows_match_l_values(tmp_path):
-    summary = sweep(3, 60, 3, out_path=str(tmp_path / "rows.csv"))
-    for row in summary.rows:
+    out = str(tmp_path / "rows.csv")
+    sweep(3, 60, 3, out_path=out)
+    for row in read_rows(out):
         recs = [r for r in l_values(row.q) if r.parity == row.parity]
         best = max(recs, key=lambda r: r.excess.mid)
         assert abs(row.excess_mid - best.excess.mid) < 1e-12
@@ -121,11 +129,89 @@ def test_resume_refuses_rows_of_another_run(tmp_path):
         sweep(3, 600, 3, out_path=str(path))
     assert path.read_bytes() == before
     # nor may a run with another divisor take the rows over
+    path.unlink()
     sweep(3, 120, 6, out_path=str(path))
     before = path.read_bytes()
     with pytest.raises(ValueError, match="not a prefix"):
         sweep(3, 120, 3, out_path=str(path))
     assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("qmin,qmax", [(300, 600), (3, 300)])
+def test_resume_refuses_a_file_of_a_longer_run(qmin, qmax, tmp_path, capsys):
+    # the rows of 3..600 are not a prefix of 300..600, nor the rows of 3..300:
+    # the file is refused, not cut down to this run's range
+    from l1sweep.cli import main
+
+    path = tmp_path / "rows.csv"
+    sweep(3, 600, 3, out_path=str(path))
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match="not a prefix"):
+        sweep(qmin, qmax, 3, out_path=str(path))
+    assert path.read_bytes() == before
+    assert main(["sweep", "--qmin", str(qmin), "--qmax", str(qmax),
+                 "--out", str(path)]) == 1
+    assert "not a prefix" in capsys.readouterr().err
+    assert path.read_bytes() == before
+
+
+def _cut_mid_row(path):
+    """Cut a row file halfway through the row after its middle one; return
+    the conductor of the last complete row."""
+    data = path.read_bytes()
+    mid = data.index(b"\n", len(data) // 2) + 1
+    cut = mid + (data.index(b"\n", mid) - mid) // 2
+    path.write_bytes(data[:cut])
+    return int(data[:mid].splitlines()[-1].split(b",")[0])
+
+
+def test_resume_formats_only_recomputed_rows(monkeypatch, tmp_path):
+    path = tmp_path / "rows.csv"
+    sweep(3, 600, 3, out_path=str(path))
+    full = path.read_bytes()
+    q_last = _cut_mid_row(path)
+    formatted = []
+    line = SweepRow.line
+
+    def counted(row):
+        formatted.append(row.q)
+        return line(row)
+
+    monkeypatch.setattr(SweepRow, "line", counted)
+    sweep(3, 600, 3, out_path=str(path))
+    assert path.read_bytes() == full
+    # the last conductor left in the file is recomputed, nothing before it
+    assert formatted == [r.q for r in read_rows(path) if r.q >= q_last]
+
+
+def test_summary_folds_the_row_file(monkeypatch, tmp_path):
+    # maxima and exceptions are folded row by row; they must equal a scan of
+    # the file, for a fresh sweep and for one resumed from a cut file
+    from l1sweep.ball import Ball
+    from l1sweep.batch import ParityMaximum
+
+    def wide_at_7(q, tol=1e-9):
+        # every q divisible by 7 gets an undecidable maximum
+        maxima, n = batch_maxima(q, tol)
+        return [ParityMaximum(m.q, m.parity, m.index,
+                              Ball(m.excess.mid, 5.0 if q % 7 == 0 else m.excess.rad),
+                              m.ambiguous) for m in maxima], n
+
+    def scanned(rows):
+        maxima = {p: max((r for r in rows if r.parity == p), key=lambda r: r.excess_mid)
+                  for p in ("even", "odd")}
+        return maxima, [r for r in rows if r.verdict != "pass"]
+
+    monkeypatch.setattr(sweep_mod, "batch_maxima", wide_at_7)
+    path = tmp_path / "rows.csv"
+    fresh = sweep(3, 2000, 3, out_path=str(path))
+    maxima, exceptions = scanned(read_rows(path))
+    assert exceptions and fresh.exceptions == exceptions
+    assert fresh.maxima == maxima
+    _cut_mid_row(path)
+    resumed = sweep(3, 2000, 3, out_path=str(path))
+    assert (resumed.maxima, resumed.exceptions) == (maxima, exceptions)
+    assert resumed.n_characters == fresh.n_characters
 
 
 def test_sweep_validates_range():
@@ -143,8 +229,7 @@ def test_figure_data(tmp_path):
     with open(even_path, encoding="utf-8") as fh:
         lines = [ln.split() for ln in fh.read().splitlines()]
     assert n == len(lines) > 0
-    rows = _load_resume(rows_path)
-    want = [(r.q, r.excess_mid) for r in rows if r.parity == "even"]
+    want = [(r.q, r.excess_mid) for r in read_rows(rows_path) if r.parity == "even"]
     assert [(int(a), float(b)) for a, b in lines] == want
 
 
@@ -209,7 +294,7 @@ def test_indeterminate_verdict_is_final(monkeypatch, tmp_path):
     monkeypatch.setattr(sweep_mod, "batch_maxima", wide)
     summary = sweep(3, 3)
     assert calls == [(3, 1e-9)]
-    assert [r.verdict for r in summary.rows] == ["indeterminate"]
+    assert [r.verdict for r in summary.exceptions] == ["indeterminate"]
     assert summary.tolerance_floor == [3]
     assert not summary.verified
     assert main(["sweep", "--qmin", "3", "--qmax", "3",
@@ -241,8 +326,9 @@ def test_pool_no_larger_than_conductor_count(monkeypatch):
 def test_even_band_for_q_divisible_by_12_sits_lower(tmp_path):
     # the lower of the two main bands of the excess plot comprises the
     # conductors divisible by 12
-    summary = sweep(3, 2000, 3, out_path=str(tmp_path / "rows.csv"))
-    even = [r for r in summary.rows if r.parity == "even" and r.q > 100]
+    out = str(tmp_path / "rows.csv")
+    sweep(3, 2000, 3, out_path=out)
+    even = [r for r in read_rows(out) if r.parity == "even" and r.q > 100]
     low = [r.excess_mid for r in even if r.q % 12 == 0]
     high = [r.excess_mid for r in even if r.q % 12 != 0]
     assert low and high
