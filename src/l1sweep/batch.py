@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,9 +69,16 @@ def character_sums(g: UnitGroupStructure, us: np.ndarray, unit_values: np.ndarra
     envelope radius valid for each output's real and imaginary parts.
     """
     n = g.phi
-    lattice = np.zeros(n, dtype=np.complex128)
-    lattice[g.index[us]] = unit_values
-    spectrum = np.conj(np.fft.fftn(np.conj(lattice.reshape(g.orders))))
+    # the conjugated lattice, built in place: empty cells hold conj(0) =
+    # 0 - 0j, and the -0.0 keeps the transform bit-identical to
+    # conj(fftn(conj(lattice)))
+    lattice = np.full(n, complex(0.0, -0.0))
+    pos = g.index[us]
+    lattice.real[pos] = unit_values.real
+    if np.iscomplexobj(unit_values):
+        lattice.imag[pos] = -unit_values.imag
+    spectrum = np.fft.fftn(lattice.reshape(g.orders))
+    np.conj(spectrum, out=spectrum)
     max_mag = float(np.max(np.abs(unit_values))) if n else 0.0
     envelope = (_FFT_C * math.log2(max(n, 2)) * _U * n * max_mag
                 + float(np.sum(unit_rads)))
@@ -101,16 +110,38 @@ def direct_sum(g: UnitGroupStructure, coeffs: CoefficientVector,
     return ComplexBall(Ball(re, rad), Ball(im, rad))
 
 
-@dataclass(frozen=True, slots=True)
-class LValueRecord:
-    """One primitive character's L(1,chi) and its excess over (log q)/3."""
+class LValueRecord(NamedTuple):
+    """One primitive character's L(1,chi) and its excess over (log q)/3.
+
+    Every field is a plain int, str or float, so a record is one tuple.
+    The balls are built only when a property is read: `value` is
+    ComplexBall(Ball(re, env), Ball(im, env)), `abs_value` is
+    Ball(abs_mid, abs_rad) and `excess` is Ball(excess_mid, excess_rad),
+    each bit-identical to the ball the scalar path computes.
+    """
 
     q: int
     index: int           # position in the character enumeration
     parity: str          # "even" | "odd"
-    value: ComplexBall   # L(1, chi)
-    abs_value: Ball      # |L(1, chi)|, outward rounded
-    excess: Ball         # |L| - (1/3) log q
+    re: float            # L(1, chi) midpoint, real part
+    im: float            # L(1, chi) midpoint, imaginary part
+    env: float           # radius of both parts of L(1, chi)
+    abs_mid: float       # |L(1, chi)|, outward rounded
+    abs_rad: float
+    excess_mid: float    # |L| - (1/3) log q
+    excess_rad: float
+
+    @property
+    def value(self) -> ComplexBall:
+        return ComplexBall(Ball(self.re, self.env), Ball(self.im, self.env))
+
+    @property
+    def abs_value(self) -> Ball:
+        return Ball(self.abs_mid, self.abs_rad)
+
+    @property
+    def excess(self) -> Ball:
+        return Ball(self.excess_mid, self.excess_rad)
 
 
 def _spectrum(q: int, tol: float):
@@ -135,7 +166,8 @@ def l_values(q: int, tol: float = 1e-9) -> list[LValueRecord]:
     The ball arithmetic runs on arrays, once per conductor, and every
     float of every record is bit-identical to the scalar path: the value
     ball's `.abs()` (ball_hypot, with math.hypot on each midpoint pair)
-    for `abs_value`, then `abs_value - log3` for `excess`.
+    for `abs_value`, then `abs_value - log3` for `excess`.  Each record
+    is one tuple of those floats; no Ball is built here.
     """
     if q < 3:
         raise ValueError(f"l_values requires q >= 3, got {q}")
@@ -150,11 +182,13 @@ def l_values(q: int, tol: float = 1e-9) -> list[LValueRecord]:
     abs_rad = _out_array(abs_mid, env + env + 2.0 * _EPS * abs_mid)
     ex_mid = abs_mid - log3.mid
     ex_rad = _out_array(ex_mid, abs_rad + log3.rad)
-    return [LValueRecord(q, i, "odd" if o else "even",
-                         ComplexBall(Ball(x, env), Ball(y, env)), Ball(a, ar), Ball(e, er))
-            for i, o, x, y, a, ar, e, er in zip(
-                idx.tolist(), odd[idx].tolist(), re, im, abs_mid.tolist(),
-                abs_rad.tolist(), ex_mid.tolist(), ex_rad.tolist())]
+    # the check Ball.__post_init__ would make on each radius
+    if not (env >= 0.0 and (abs_rad >= 0.0).all() and (ex_rad >= 0.0).all()):
+        raise ValueError(f"q={q}: negative radius in an L-value record")
+    parity = map(("even", "odd").__getitem__, odd[idx].tolist())
+    return list(map(LValueRecord._make, zip(
+        repeat(q), idx.tolist(), parity, re, im, repeat(env), abs_mid.tolist(),
+        abs_rad.tolist(), ex_mid.tolist(), ex_rad.tolist())))
 
 
 @dataclass(frozen=True)

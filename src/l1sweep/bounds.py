@@ -8,11 +8,11 @@ provided alongside for the tabulated comparisons.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
-from .ball import Ball, PI
+from .ball import Ball, PI, _out
 from .batch import LValueRecord
 
 
@@ -67,8 +67,7 @@ def c_odd_limit() -> Ball:
     return Ball.exact(5) / 3 - Ball.exact(12).log() / 3
 
 
-@dataclass(frozen=True, slots=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Outcome of comparing one L-value record against a bound constant."""
 
     q: int
@@ -104,13 +103,16 @@ def check_theorem(rec: LValueRecord,
     theorem formally applies to this conductor.
 
     The bound is cached per (q, constant), so the records of one
-    conductor share one bound ball and each costs one Ball subtraction;
-    every float of the report is bit-identical to computing
-    `Ball.exact(q).log() / 3 + const` afresh for each record.
+    conductor share one bound ball.  The margin is the one Ball built
+    per record: it is computed from the record's `abs_mid` and `abs_rad`
+    floats by the operation sequence of `bound - rec.abs_value`, so every
+    float of the report is bit-identical to computing
+    `Ball.exact(q).log() / 3 + const - rec.abs_value` afresh for each
+    record.
     """
     const = theorem_constant(rec.parity, constants)
     bound = _bound(rec.q, const)
-    margin = bound - rec.abs_value
+    margin = _out(bound.mid - rec.abs_mid, bound.rad + rec.abs_rad)
     return BoundReport(rec.q, rec.parity, const, bound, margin,
                        _verdict(margin), rec.q % 3 == 0)
 

@@ -2,8 +2,8 @@
 
 Exit codes: 0 success with nothing violated; 1 usage or I/O error, an
 out-of-range q, a non-integer $L1SWEEP_THREADS, a row file to resume that
-another run wrote, or a tolerance the coefficients cannot attain, each
-with an error message; 2 a theorem
+another run wrote, an --out file that is not a row file, or a tolerance
+the coefficients cannot attain, each with an error message; 2 a theorem
 exception, an indeterminate verdict (from its first evaluation: tol
 changes no computed value, so nothing is retried), or a failed lemma
 check.
@@ -91,9 +91,9 @@ def _cmd_lvalue(args) -> int:
     for r in records:
         rep = check_theorem(r)
         print(f"q={r.q} index={r.index} parity={r.parity} conductor={r.q} "
-              f"L(1,chi)={r.value.re.mid:.12f}{r.value.im.mid:+.12f}i "
-              f"|L|={r.abs_value.mid:.12f}(+/-{r.abs_value.rad:.1e}) "
-              f"excess={r.excess.mid:+.7f} margin={rep.margin.mid:+.7f} "
+              f"L(1,chi)={r.re:.12f}{r.im:+.12f}i "
+              f"|L|={r.abs_mid:.12f}(+/-{r.abs_rad:.1e}) "
+              f"excess={r.excess_mid:+.7f} margin={rep.margin.mid:+.7f} "
               f"verdict={rep.verdict}"
               + ("" if rep.theorem_applies else " [3 does not divide q]"))
         if rep.verdict != "pass":

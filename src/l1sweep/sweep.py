@@ -9,7 +9,8 @@ range are byte-identical regardless of thread count.  An interrupted
 sweep resumes by truncating the file where its last conductor's rows
 start and appending from there; the rows before that point are read and
 never written again.  A row file whose rows are not a prefix of this
-run's conductors is refused untouched.
+run's conductors is refused untouched, and so is a file that is not empty
+and does not start with the row header.
 """
 
 from __future__ import annotations
@@ -149,7 +150,8 @@ def sweep(qmin: int, qmax: int, divisor: int = 3, tol: float = 1e-9,
     The theorem holds only for 3 | q, so divisor must be a positive
     multiple of 3.  An existing row file at out_path is resumed: its last
     conductor is recomputed and every conductor before it is taken from
-    the file.
+    the file.  A file at out_path that is neither empty nor a row file
+    raises ValueError and is left as it is.
     """
     if not 3 <= qmin <= qmax:
         raise ValueError("need 3 <= qmin <= qmax")
@@ -185,6 +187,9 @@ def sweep(qmin: int, qmax: int, divisor: int = 3, tol: float = 1e-9,
     # in append mode every write lands at the end, wherever it was truncated
     with open(out_path, "a+b") if out_path else nullcontext() as fh:
         found = _load_resume(fh) if fh is not None else None
+        if found is None and fh is not None and fh.seek(0, os.SEEK_END):
+            raise ValueError(f"{out_path} is not a sweep row file; refusing to "
+                             "overwrite it")
         # the file's conductors must be this run's own from the first one
         # onward (q = 2 mod 4 has no primitive characters, so no rows); its
         # last conductor may have been cut mid-write, so it is recomputed

@@ -157,9 +157,68 @@ def test_l_values_match_scalar_path(q):
     for i in np.flatnonzero(prim).tolist():
         value = ComplexBall(Ball(float(spec[i].real), env), Ball(float(spec[i].imag), env))
         a = value.abs()
-        want.append(batch.LValueRecord(q, i, "odd" if odd[i] else "even", value, a, a - log3))
+        e = a - log3
+        want.append(batch.LValueRecord(q, i, "odd" if odd[i] else "even", value.re.mid,
+                                       value.im.mid, env, a.mid, a.rad, e.mid, e.rad))
     got = l_values(q)
     assert [_bits(r) for r in got] == [_bits(r) for r in want]
+
+
+def test_records_build_balls_only_when_read(monkeypatch):
+    from l1sweep import bounds
+
+    built = []
+    post_init = Ball.__post_init__
+
+    def counted(ball):
+        built.append(ball)
+        post_init(ball)
+
+    monkeypatch.setattr(Ball, "__post_init__", counted)
+    batch._spectrum(249, 1e-9)
+    per_conductor = len(built)      # the (1/3) log q ball
+    built.clear()
+    recs = l_values(249)
+    assert len(recs) == 81 and len(built) == per_conductor
+    for rec in recs:                # fill the per-(q, constant) bound cache
+        bounds.check_theorem(rec)
+    built.clear()
+    for rec in recs:
+        bounds.check_theorem(rec)
+    assert len(built) == len(recs)  # the margin
+    built.clear()
+    rec = recs[0]
+    rec.value, rec.abs_value, rec.excess
+    assert len(built) == 4
+
+
+def _character_sums_reference(g, us, unit_values):
+    """The transform as conj(fftn(conj(lattice))), with both conjugates
+    taken as copies."""
+    lattice = np.zeros(g.phi, dtype=np.complex128)
+    lattice[g.index[us]] = unit_values
+    return np.conj(np.fft.fftn(np.conj(lattice.reshape(g.orders)))).ravel()
+
+
+def test_character_sums_bit_identical_to_conjugate_copies():
+    # the in-place conjugates must keep every bit, the sign of each zero
+    # included: a lattice filled with +0j instead of conj(0j) = 0 - 0j
+    # changes the sign of some zero outputs
+    for q in list(range(3, 1000, 3)) + [98613]:
+        g = unit_group(q)
+        c = build_coefficients(q, 1e-9 / (2 * g.phi))
+        spec, _ = character_sums(g, c.units, c.mids, c.rads)
+        want = _character_sums_reference(g, c.units, c.mids)
+        assert np.array_equal(spec.view(np.int64), want.view(np.int64)), q
+    rng = np.random.default_rng(5)
+    for q in (21, 59, 360):
+        g = unit_group(q)
+        us = units(q)
+        vals = rng.standard_normal(len(us)) + 1j * rng.standard_normal(len(us))
+        vals[::3] = vals[::3].real          # some +0.0 imaginary parts
+        spec, _ = character_sums(g, us, vals, np.zeros(len(us)))
+        want = _character_sums_reference(g, us, vals)
+        assert np.array_equal(spec.view(np.int64), want.view(np.int64)), q
 
 
 def test_l_values_rejects_small_q():

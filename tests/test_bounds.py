@@ -7,7 +7,7 @@ import pytest
 
 from l1sweep import bounds
 from l1sweep.ball import Ball
-from l1sweep.batch import LValueRecord, l_values
+from l1sweep.batch import l_values
 from l1sweep.bounds import (THEOREM_EVEN, THEOREM_ODD, c_even, c_even_limit,
                             c_odd, c_odd_limit, check_theorem, excess_margin,
                             theorem_constant)
@@ -131,11 +131,9 @@ def test_check_theorem_records_applicability():
 
 def test_three_valued_verdicts():
     rec = l_values(3)[0]
-    fat = LValueRecord(rec.q, rec.index, rec.parity, rec.value,
-                       Ball(rec.abs_value.mid, 5.0), rec.excess)
+    fat = rec._replace(abs_rad=5.0)
     assert check_theorem(fat).verdict == "indeterminate"
-    big = LValueRecord(rec.q, rec.index, rec.parity, rec.value,
-                       Ball(10.0, 1e-12), rec.excess)
+    big = rec._replace(abs_mid=10.0, abs_rad=1e-12)
     assert check_theorem(big).verdict == "fail"
 
 

@@ -88,6 +88,15 @@ def test_sweep_mixed_range_resume_exits_1(tmp_path, capsys):
     assert out.read_bytes() == before
 
 
+def test_sweep_refuses_a_file_that_is_not_a_row_file(tmp_path, capsys):
+    notes = tmp_path / "notes.txt"
+    notes.write_bytes(b"line one\nline two\n")
+    assert main(["sweep", "--qmin", "3", "--qmax", "9", "--out", str(notes)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not a sweep row file" in err
+    assert notes.read_bytes() == b"line one\nline two\n"
+
+
 def test_sweep_unwritable_output(capsys):
     code = main(["sweep", "--qmin", "3", "--qmax", "9",
                  "--out", "/nonexistent-dir/rows.csv"])

@@ -155,6 +155,25 @@ def test_resume_refuses_a_file_of_a_longer_run(qmin, qmax, tmp_path, capsys):
     assert path.read_bytes() == before
 
 
+def test_sweep_refuses_a_file_that_is_not_a_row_file(tmp_path):
+    # a mistyped --out must not replace an unrelated file with rows
+    path = tmp_path / "notes.txt"
+    path.write_bytes(b"line one\nline two\n")
+    with pytest.raises(ValueError, match="not a sweep row file"):
+        sweep(3, 9, 3, out_path=str(path))
+    assert path.read_bytes() == b"line one\nline two\n"
+
+
+def test_sweep_writes_header_to_an_empty_file(tmp_path):
+    fresh = tmp_path / "fresh.csv"
+    sweep(3, 60, 3, out_path=str(fresh))
+    empty = tmp_path / "empty.csv"
+    empty.write_bytes(b"")
+    sweep(3, 60, 3, out_path=str(empty))
+    assert empty.read_bytes() == fresh.read_bytes()
+    assert empty.read_bytes().startswith(b"q,parity,")
+
+
 def _cut_mid_row(path):
     """Cut a row file halfway through the row after its middle one; return
     the conductor of the last complete row."""
