@@ -9,7 +9,6 @@ provided alongside for the tabulated comparisons.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple
 
 from .ball import Ball, PI, _out
@@ -26,15 +25,12 @@ THEOREM_EVEN = _decimal_ball("0.368296")
 THEOREM_ODD = _decimal_ball("0.838374")
 
 
-def theorem_constant(parity: str,
-                     constants: tuple[Ball, Ball] | None = None) -> Ball:
-    """The additive constant for one parity, taken from the (even, odd)
-    pair `constants`, by default the theorem's fixed literals."""
-    even_c, odd_c = constants if constants is not None else (THEOREM_EVEN, THEOREM_ODD)
+def theorem_constant(parity: str) -> Ball:
+    """The theorem's additive constant for one parity."""
     if parity == "even":
-        return even_c
+        return THEOREM_EVEN
     if parity == "odd":
-        return odd_c
+        return THEOREM_ODD
     raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
 
 
@@ -68,13 +64,15 @@ def c_odd_limit() -> Ball:
 
 
 class BoundReport(NamedTuple):
-    """Outcome of comparing one L-value record against a bound constant."""
+    """Outcome of comparing one L-value record against the theorem.
+
+    `margin` and `verdict` come from `excess_margin`, the formula behind
+    the sweep's row margins, so a report and a row agree to the bit."""
 
     q: int
     parity: str
-    constant: Ball           # the additive constant used
-    bound: Ball              # (1/3) log q + constant
-    margin: Ball             # bound - |L|
+    constant: Ball           # the theorem constant for this parity
+    margin: Ball             # constant - (|L| - (1/3) log q)
     verdict: str             # "pass" | "fail" | "indeterminate"
     theorem_applies: bool    # 3 | q, so Theorem constants formally cover it
 
@@ -87,38 +85,31 @@ def _verdict(margin: Ball) -> str:
     return "indeterminate"
 
 
-@lru_cache(maxsize=64)
-def _bound(q: int, const: Ball) -> Ball:
-    """(1/3) log q + const, computed once per (conductor, constant)."""
-    return Ball.exact(q).log() / 3 + const
+def excess_margin(excess_mid: float, excess_rad: float,
+                  parity: str) -> tuple[Ball, str]:
+    """Margin C - excess and its verdict, for the excess ball
+    (excess_mid, excess_rad) of |L| - (1/3) log q and the theorem
+    constant C of `parity`.
 
-
-def check_theorem(rec: LValueRecord,
-                  constants: tuple[Ball, Ball] | None = None) -> BoundReport:
-    """Three-valued comparison of |L(1,chi)| against (1/3)log q + C.
-
-    `constants` selects the (even, odd) pair; default is the theorem's
-    fixed literals.  Pass (c_even(q), c_odd(q)) for the sharper per-q
-    comparison.  The report records whether 3 | q, i.e. whether the
-    theorem formally applies to this conductor.
-
-    The bound is cached per (q, constant), so the records of one
-    conductor share one bound ball.  The margin is the one Ball built
-    per record: it is computed from the record's `abs_mid` and `abs_rad`
-    floats by the operation sequence of `bound - rec.abs_value`, so every
-    float of the report is bit-identical to computing
-    `Ball.exact(q).log() / 3 + const - rec.abs_value` afresh for each
-    record.
+    The one margin formula: every sweep row and every `check_theorem`
+    report gets its margin here.  The margin is the only Ball it builds,
+    bit-identical to `theorem_constant(parity) - Ball(excess_mid,
+    excess_rad)`.
     """
-    const = theorem_constant(rec.parity, constants)
-    bound = _bound(rec.q, const)
-    margin = _out(bound.mid - rec.abs_mid, bound.rad + rec.abs_rad)
-    return BoundReport(rec.q, rec.parity, const, bound, margin,
-                       _verdict(margin), rec.q % 3 == 0)
-
-
-def excess_margin(excess: Ball, parity: str) -> tuple[Ball, str]:
-    """Margin and verdict against the theorem constant directly from an
-    excess ball (|L| - log(q)/3)."""
-    margin = theorem_constant(parity) - excess
+    const = theorem_constant(parity)
+    margin = _out(const.mid - excess_mid, const.rad + excess_rad)
     return margin, _verdict(margin)
+
+
+def check_theorem(rec: LValueRecord) -> BoundReport:
+    """Three-valued comparison of |L(1,chi)| against (1/3)log q + C, with
+    the theorem's constant C for the record's parity.
+
+    The margin is `excess_margin` on the record's `excess_mid` and
+    `excess_rad`, the sweep rows' formula, so it is the one Ball built
+    per record.  The report records whether 3 | q, i.e. whether the
+    theorem formally applies to this conductor.
+    """
+    margin, verdict = excess_margin(rec.excess_mid, rec.excess_rad, rec.parity)
+    return BoundReport(rec.q, rec.parity, theorem_constant(rec.parity), margin,
+                       verdict, rec.q % 3 == 0)

@@ -21,7 +21,6 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 
-from .ball import Ball
 from .batch import batch_maxima
 from .bounds import excess_margin, theorem_constant
 from .characters import count_primitive
@@ -57,9 +56,6 @@ class SweepRow:
             raise ValueError(f"malformed row: {line!r}")
         return SweepRow(int(f[0]), f[1], float(f[2]), float(f[3]), int(f[4]),
                         float(f[5]), float(f[6]), float(f[7]), f[8], f[9] == "1")
-
-    def excess(self) -> Ball:
-        return Ball(self.excess_mid, self.excess_rad)
 
 
 @dataclass
@@ -97,7 +93,7 @@ def _worker(args: tuple[int, float]) -> tuple[int, list[SweepRow], int]:
     maxima, n_prim = batch_maxima(q, tol)
     rows = []
     for mx in maxima:
-        margin, verdict = excess_margin(mx.excess, mx.parity)
+        margin, verdict = excess_margin(mx.excess.mid, mx.excess.rad, mx.parity)
         rows.append(SweepRow(q, mx.parity, mx.excess.mid, mx.excess.rad,
                              mx.index, theorem_constant(mx.parity).mid,
                              margin.mid, margin.rad, verdict, mx.ambiguous))

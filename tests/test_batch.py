@@ -180,7 +180,7 @@ def test_records_build_balls_only_when_read(monkeypatch):
     built.clear()
     recs = l_values(249)
     assert len(recs) == 81 and len(built) == per_conductor
-    for rec in recs:                # fill the per-(q, constant) bound cache
+    for rec in recs:                # warm-up
         bounds.check_theorem(rec)
     built.clear()
     for rec in recs:
