@@ -64,8 +64,6 @@ def euler_phi(q: int) -> int:
 
 def smallest_primitive_root(p: int) -> int:
     """Smallest primitive root mod an odd prime p."""
-    if p == 2:
-        return 1
     order_factors = [r for r, _ in factorize(p - 1).factors]
     g = 2
     while True:
@@ -88,7 +86,8 @@ def _prime_power_generator(p: int, e: int) -> int:
 @dataclass(frozen=True, slots=True)
 class Component:
     """One cyclic factor of the unit group."""
-    modulus: int    # the prime-power part this component lives in
+    modulus: int    # the prime-power part p^e this component lives in
+    prime: int      # its prime p
     generator: int  # residue mod `modulus`
     order: int
 
@@ -138,12 +137,12 @@ def unit_group(q: int) -> UnitGroupStructure:
     for p, e in fac.factors:
         if p == 2:
             if e == 2:
-                comps.append(Component(4, 3, 2))
+                comps.append(Component(4, 2, 3, 2))
             elif e >= 3:
                 mod = 1 << e
-                comps += [Component(mod, mod - 1, 2), Component(mod, 5, 1 << (e - 2))]
+                comps += [Component(mod, 2, mod - 1, 2), Component(mod, 2, 5, 1 << (e - 2))]
         else:
-            comps.append(Component(p ** e, _prime_power_generator(p, e),
+            comps.append(Component(p ** e, p, _prime_power_generator(p, e),
                                    (p - 1) * p ** (e - 1)))
     lattice = np.ones(1, dtype=np.int64)
     for c in comps:

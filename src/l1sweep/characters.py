@@ -15,7 +15,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .arith import UnitGroupStructure, dlog, factorize, reconstruct, units
+from .arith import Component, UnitGroupStructure, dlog, reconstruct, units
 from .ball import Ball, ComplexBall
 
 _ROOT_RAD = 2.0 ** -51  # two ulps of unity; see roots_of_unity
@@ -169,64 +169,48 @@ def gauss_sum(chi: Character) -> ComplexBall:
 
 # -- vectorized grids for the batch engine ----------------------------------
 
+def _over_lattice(op: np.ufunc, axis_masks: list[np.ndarray]) -> np.ndarray:
+    """op combined over the outer product of one boolean vector per axis,
+    flattened in enumeration (C) order."""
+    return reduce(op.outer, axis_masks).ravel()
+
+
+def _is_five_axis(c: Component) -> bool:
+    """The <5> axis of a part 2^e, e >= 3 (its other axis is <-1>)."""
+    return c.prime == 2 and c.generator == 5
+
+
 def parity_mask(g: UnitGroupStructure) -> np.ndarray:
     """Boolean array over enumeration order: True where chi is odd.
 
-    chi(-1) factors as a product of +/-1 per component, so parity is the
-    xor of per-axis bits.
+    chi(-1) = (-1)^(sum_i k_i) over every axis except <5>.  On each of
+    those axes -1 = g_i^(order_i/2), so axis i contributes
+    e(k_i/2) = (-1)^k_i; on the <5> axis of a part 2^e (e >= 3) -1 has
+    exponent 0.
     """
-    m1 = dlog(g, g.q - 1)
-    grids = []
-    for comp, k in zip(g.components, m1):
-        e = np.arange(comp.order, dtype=np.int64)
-        # component phase e*k/order is 0 or 1/2 mod 1; the 1/2 case is a
-        # sign flip of chi(-1)
-        grids.append((2 * e * k) % (2 * comp.order) == comp.order)
-    out = np.zeros(g.orders, dtype=bool)
-    shape = [1] * len(grids)
-    for i, axis_bits in enumerate(grids):
-        shape_i = shape.copy()
-        shape_i[i] = -1
-        out ^= axis_bits.reshape(shape_i)
-    return out.ravel()
+    return _over_lattice(np.logical_xor, [
+        np.zeros(c.order, dtype=bool) if _is_five_axis(c) else np.arange(c.order) % 2 == 1
+        for c in g.components])
 
 
 def primitive_mask(g: UnitGroupStructure) -> np.ndarray:
     """Boolean array over enumeration order: True where chi is primitive.
 
-    Local conditions per prime-power part: for odd p (exponent e >= 2)
-    the component exponent must not be divisible by p, for odd p with
-    e = 1 it must be nonzero; for the part 4, nonzero; for 2^e (e >= 3),
-    the <5>-component exponent must be odd.  A part p^1 = 2 admits no
-    primitive character at all.
+    chi is primitive iff each local factor is, so the mask is the and of
+    one predicate per axis, on its exponent k:
+      odd part p^e: k % p != 0 if e >= 2, and k != 0 if e = 1;
+      part 4: k != 0;
+      part 2^e, e >= 3: any k on the <-1> axis, odd k on the <5> axis;
+    and q = 2 (mod 4) admits no primitive character at all.  Every rule
+    but the <-1> one is k % p != 0, since k < p - 1 when e = 1 and k < 2
+    on the part 4.
     """
-    fac = factorize(g.q)
-    if any(p == 2 and e == 1 for p, e in fac.factors):
+    if g.q % 4 == 2:
         return np.zeros(g.phi, dtype=bool)
-    axis_masks = []
-    ci = 0
-    for p, e in fac.factors:
-        if p == 2:
-            if e == 2:
-                k = np.arange(g.components[ci].order)
-                axis_masks.append(k != 0)
-                ci += 1
-            else:
-                axis_masks.append(np.ones(g.components[ci].order, dtype=bool))
-                k5 = np.arange(g.components[ci + 1].order)
-                axis_masks.append(k5 % 2 == 1)
-                ci += 2
-        else:
-            k = np.arange(g.components[ci].order)
-            axis_masks.append((k % p != 0) if e >= 2 else (k != 0))
-            ci += 1
-    out = np.ones(g.orders, dtype=bool)
-    shape = [1] * len(axis_masks)
-    for i, m in enumerate(axis_masks):
-        s = shape.copy()
-        s[i] = -1
-        out &= m.reshape(s)
-    return out.ravel()
+    return _over_lattice(np.logical_and, [
+        np.ones(c.order, dtype=bool) if c.prime == 2 and c.modulus > 4 and not _is_five_axis(c)
+        else np.arange(c.order) % c.prime != 0
+        for c in g.components])
 
 
 def conjugate_index(g: UnitGroupStructure, index: int) -> int:

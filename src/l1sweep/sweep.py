@@ -87,7 +87,7 @@ class SweepSummary:
         return sorted({r.q for r in self.exceptions if r.verdict == "indeterminate"})
 
 
-def _worker(args: tuple[int, float]) -> tuple[int, list[SweepRow], int]:
+def _worker(args: tuple[int, float]) -> tuple[list[SweepRow], int]:
     """Rows of one conductor from a single batch_maxima evaluation."""
     q, tol = args
     maxima, n_prim = batch_maxima(q, tol)
@@ -97,7 +97,7 @@ def _worker(args: tuple[int, float]) -> tuple[int, list[SweepRow], int]:
         rows.append(SweepRow(q, mx.parity, mx.excess.mid, mx.excess.rad,
                              mx.index, theorem_constant(mx.parity).mid,
                              margin.mid, margin.rad, verdict, mx.ambiguous))
-    return q, rows, n_prim
+    return rows, n_prim
 
 
 def conductor_range(qmin: int, qmax: int, divisor: int) -> list[int]:
@@ -171,7 +171,7 @@ def sweep(qmin: int, qmax: int, divisor: int = 3, tol: float = 1e-9,
 
     def consume(result):
         nonlocal n_characters
-        _, rows, n_prim = result
+        rows, n_prim = result
         n_characters += n_prim
         for r in rows:
             fold(r)

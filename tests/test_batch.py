@@ -7,11 +7,13 @@ transform is further checked against an exact mpmath DFT on mixed sizes.
 """
 
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+from l1sweep import arith
 from l1sweep.arith import unit_group, units
 from l1sweep.ball import Ball, ComplexBall
 from l1sweep import batch
@@ -117,15 +119,41 @@ def test_units_enumerated_once_per_conductor(monkeypatch):
     assert calls == [999]
 
 
+def _patch_everywhere(monkeypatch, original, replacement):
+    """Put `replacement` wherever an l1sweep module holds `original`, as
+    the benchmark's tracer puts its wrappers."""
+    for name, module in list(sys.modules.items()):
+        if name == "l1sweep" or name.startswith("l1sweep."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, replacement)
+
+
 def test_spectrum_needs_no_dlog_matrix(monkeypatch):
-    # the scatter reads the unit lattice's index; dlog_matrix serves the oracle
-    want = batch_maxima(999)
+    # the scatter reads the unit lattice's index and the masks read each
+    # axis's prime-power part, so no discrete log is taken and q is
+    # factored only by unit_group and units; dlog and dlog_matrix serve
+    # the oracles
+    want_maxima, want_records = batch_maxima(999), l_values(999)
 
-    def no_dlog_matrix(g, ns):
-        raise AssertionError("dlog_matrix called on the production path")
+    def no_dlog(*args):
+        raise AssertionError("discrete log taken on the production path")
 
-    monkeypatch.setattr(batch, "dlog_matrix", no_dlog_matrix)
-    assert batch_maxima(999) == want
+    _patch_everywhere(monkeypatch, arith.dlog_matrix, no_dlog)
+    _patch_everywhere(monkeypatch, arith.dlog, no_dlog)
+    factored = []
+    factorize = arith.factorize
+
+    def counted_factorize(n):
+        factored.append(n)
+        return factorize(n)
+
+    _patch_everywhere(monkeypatch, factorize, counted_factorize)
+    assert batch_maxima(999) == want_maxima
+    assert factored.count(999) <= 2
+    factored.clear()
+    assert l_values(999) == want_records
+    assert factored.count(999) <= 2
 
 
 def test_no_spectrum_without_primitive_characters(monkeypatch):

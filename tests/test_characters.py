@@ -1,6 +1,7 @@
 """Character algebra: enumeration, values, conductors, Gauss sums, counts."""
 
 import math
+from functools import reduce
 
 import mpmath as mp
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from l1sweep.arith import unit_group, units
+from l1sweep.arith import dlog, unit_group, units
 from l1sweep.ball import ComplexBall
 from l1sweep.characters import (character_from_exps, chi_value, count_primitive,
                                 enumerate_characters, gauss_sum, parity_mask,
@@ -176,7 +177,9 @@ def test_gauss_sum_modulus_direct_to_60():
 
 
 def test_masks_match_enumeration():
-    for q in range(3, 101):
+    # beyond 3..100: a part 2^3 beside a part 3^3 (216), a part 5^3 (375)
+    # and a part 2^7, whose <5> axis has length 32 (384)
+    for q in list(range(3, 101)) + [216, 375, 384]:
         g = unit_group(q)
         chars = enumerate_characters(g)
         pm = parity_mask(g)
@@ -186,12 +189,25 @@ def test_masks_match_enumeration():
             assert prm[i] == ch.primitive
 
 
+def test_masks_match_dlog_parity_and_primitive_count():
+    # chi(-1) from the exponents of -1 = q - 1, as exact phases over the
+    # lcm of the orders, and the multiplicative count phi*(q)
+    for q in (31752, 999999, 1999995):
+        g = unit_group(q)
+        L = reduce(math.lcm, g.orders)
+        phases = [np.arange(c.order, dtype=np.int64) * k * (L // c.order) % L
+                  for c, k in zip(g.components, dlog(g, q - 1))]
+        phase = reduce(np.add.outer, phases).ravel() % L
+        assert np.isin(phase, (0, L // 2)).all(), q
+        assert np.array_equal(parity_mask(g), phase == L // 2), q
+        assert int(primitive_mask(g).sum()) == count_primitive(q, q), q
+
+
 def test_character_labels_roundtrip():
     g = unit_group(45)
     for chi in enumerate_characters(g):
         q, n = chi.label()
         assert q == 45 and math.gcd(n, q) == 1
-        from l1sweep.arith import dlog
         assert dlog(g, n) == chi.exps
 
 

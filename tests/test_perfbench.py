@@ -3,6 +3,7 @@
 import importlib
 import importlib.util
 import sys
+from collections import Counter
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -51,3 +52,38 @@ def test_lvalue_workload_smoke(monkeypatch, tmp_path):
     assert out.characters == 162 and out.error is None
     result = smoke.check(out)
     assert not result.failed, result.messages
+
+
+def test_traced_functions_are_reached(monkeypatch):
+    # a per-layer metric reads 0 when the workloads stop reaching its
+    # function; the benchmark's paths (a sweep, then l_values and
+    # check_theorem per record) must call every traced l1sweep function
+    # but dlog_matrix, which only the direct-sum oracle reaches
+    batch, bounds, sweep = (importlib.import_module(f"l1sweep.{m}")
+                            for m in ("batch", "bounds", "sweep"))
+    spans = _load(monkeypatch, "spans")
+    holders = [m for n, m in list(sys.modules.items())
+               if n == "l1sweep" or n.startswith("l1sweep.")]
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    traced = [(module, attr, name) for module, attr, name, _ in spans.TRACED
+              if module.startswith("l1sweep.") and name != "arith.dlog_matrix"]
+    for module, attr, name in traced:
+        original = getattr(importlib.import_module(module), attr)
+        wrapper = counted(name, original)
+        for holder in holders:
+            for key, value in list(vars(holder).items()):
+                if value is original:
+                    monkeypatch.setattr(holder, key, wrapper)
+    # called through their modules, so the wrappers are the ones reached
+    sweep.sweep(3, 300, threads=1)
+    for rec in batch.l_values(999):
+        bounds.check_theorem(rec)
+    missed = [name for _, _, name in traced if not calls[name]]
+    assert len(traced) >= 10 and not missed, missed
