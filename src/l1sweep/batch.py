@@ -21,8 +21,8 @@ import numpy as np
 
 from .arith import UnitGroupStructure, dlog_matrix, unit_group, units
 from .ball import Ball, ComplexBall, _out_array
-from .characters import (Character, _lcm_orders, parity_mask, primitive_mask,
-                         roots_of_unity)
+from .characters import (Character, _lcm_orders, conjugate_index, parity_mask,
+                         primitive_mask, roots_of_unity)
 from .special import ToleranceError, digamma_points
 
 _EPS = 2.0 ** -52
@@ -145,7 +145,7 @@ class LValueRecord(NamedTuple):
 
 
 def _spectrum(q: int, tol: float):
-    """All character sums of one conductor with its masks and (1/3) log q,
+    """The unit group, all character sums, masks and (1/3) log q of one conductor,
     or None when q has no primitive character (q = 2 mod 4), in which case
     neither the unit group, the coefficients nor the transform are built."""
     if q % 4 == 2:
@@ -154,7 +154,7 @@ def _spectrum(q: int, tol: float):
     prim = primitive_mask(g)
     coeffs = build_coefficients(q, tol / (2.0 * g.phi))
     spec, env = character_sums(g, coeffs.units, coeffs.mids, coeffs.rads)
-    return spec, env, prim, parity_mask(g), Ball.exact(q).log() / 3
+    return g, spec, env, prim, parity_mask(g), Ball.exact(q).log() / 3
 
 
 def l_values(q: int, tol: float = 1e-9) -> list[LValueRecord]:
@@ -174,7 +174,7 @@ def l_values(q: int, tol: float = 1e-9) -> list[LValueRecord]:
     sp = _spectrum(q, tol)
     if sp is None:
         return []
-    spec, env, prim, odd, log3 = sp
+    _, spec, env, prim, odd, log3 = sp
     idx = np.flatnonzero(prim)
     re, im = spec.real[idx].tolist(), spec.imag[idx].tolist()
     # math.hypot as in ball_hypot; np.hypot need not round the same way
@@ -191,30 +191,33 @@ def l_values(q: int, tol: float = 1e-9) -> list[LValueRecord]:
         abs_rad.tolist(), ex_mid.tolist(), ex_rad.tolist())))
 
 
-@dataclass(frozen=True)
-class ParityMaximum:
-    """Largest excess over one parity class of a conductor."""
-
-    q: int
-    parity: str
-    index: int
-    excess: Ball
-    ambiguous: bool      # another character's excess ball overlaps the max
-
-
-def batch_maxima(q: int, tol: float = 1e-9) -> tuple[list[ParityMaximum], int]:
+def batch_maxima(q: int, tol: float = 1e-9) -> tuple[list[tuple[LValueRecord, bool]], int]:
     """Per-parity maxima of |L(1,chi)| - (log q)/3 over primitive chi.
 
-    Returns ([maxima for parities that occur], primitive character count).
-    The argmax tie-break is the smaller character index, flagged
-    ambiguous when another excess ball overlaps.
+    Returns ([(record, ambiguous) per parity that occurs], primitive
+    character count).  The argmax is the smallest index whose `np.abs`
+    midpoint lies within twice the |L| radius of the largest; its record
+    is bit-identical to the `l_values` one.  It is ambiguous when another
+    such candidate is not its conjugate (a(n) is real, so chi and its
+    conjugate have the same |L|).
+
+    A pass on this record covers every chi of the parity.  Each part of
+    chi's computed midpoint s lies within env of L(1,chi), and env is the
+    same for all chi, so |L(1,chi)| <= |s| + sqrt(2) env.  The record's |L|
+    radius, at least 2 env + 3 eps |L| (2 eps from `ball_hypot`, eps from
+    `_out`), grows with |L|, so a record with a smaller hypot midpoint has
+    a smaller upper end.  `np.abs` and `math.hypot` may order near-equal
+    midpoints differently, but each is within one ulp of |s|: |s| <=
+    np.abs(s) + ulp <= np.abs(s_max) + ulp <= hypot(s_max) + 3 ulp, inside
+    the 3 eps |L| slack.  So the record's upper end bounds every excess of
+    the parity.
     """
     if q < 3:
         raise ValueError(f"batch_maxima requires q >= 3, got {q}")
     sp = _spectrum(q, tol)
     if sp is None:
         return [], 0
-    spec, env, prim, odd, log3 = sp
+    g, spec, env, prim, odd, log3 = sp
     abs_mid = np.abs(spec)
     out = []
     for parity, sel in (("even", prim & ~odd), ("odd", prim & odd)):
@@ -223,12 +226,13 @@ def batch_maxima(q: int, tol: float = 1e-9) -> tuple[list[ParityMaximum], int]:
             continue
         mids = abs_mid[idx]
         top = float(mids.max())
-        rad = 2.0 * env + 2.0 * _EPS * top  # |L| ball: hypot +/- (rad_re + rad_im)
-        # all candidates whose excess ball overlaps the maximum; the
-        # smallest character index wins the tie and the row is flagged
-        cands = idx[mids >= top - 2.0 * rad]
+        cands = idx[mids >= top - 2.0 * (2.0 * env + 2.0 * _EPS * top)]
         best = int(cands[0])
-        abs_ball = Ball(float(abs_mid[best]), rad)
-        out.append(ParityMaximum(q, parity, best, abs_ball - log3,
-                                 bool(cands.size > 1)))
+        re, im = float(spec.real[best]), float(spec.imag[best])
+        a = ComplexBall(Ball(re, env), Ball(im, env)).abs()
+        e = a - log3
+        rec = LValueRecord(q, best, parity, re, im, env, a.mid, a.rad, e.mid, e.rad)
+        ambiguous = (cands.size > 1
+                     and not set(cands.tolist()) <= {best, conjugate_index(g, best)})
+        out.append((rec, ambiguous))
     return out, int(prim.sum())

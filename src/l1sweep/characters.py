@@ -214,10 +214,13 @@ def primitive_mask(g: UnitGroupStructure) -> np.ndarray:
 
 
 def conjugate_index(g: UnitGroupStructure, index: int) -> int:
-    """Enumeration index of the complex conjugate character."""
-    exps = np.unravel_index(index, g.orders)
-    neg = tuple((-int(e)) % c.order for e, c in zip(exps, g.components))
-    return int(np.ravel_multi_index(neg, g.orders))
+    """Enumeration index of the complex conjugate: every exponent negated."""
+    conj, stride = 0, 1
+    for order in reversed(g.orders):
+        index, e = divmod(index, order)
+        conj += (-e % order) * stride
+        stride *= order
+    return conj
 
 
 # -- primitive-character counting --------------------------------------------

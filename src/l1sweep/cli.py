@@ -1,12 +1,13 @@
 """Command-line front end.
 
+A `sweep` row is the `lvalue --q Q --index I` report of its argmax I.
+
 Exit codes: 0 success with nothing violated; 1 usage or I/O error, an
-out-of-range q, a non-integer $L1SWEEP_THREADS, a row file to resume that
-another run wrote, an --out file that is not a row file, or a tolerance
-the coefficients cannot attain, each with an error message; 2 a theorem
-exception, an indeterminate verdict (from its first evaluation: tol
-changes no computed value, so nothing is retried), or a failed lemma
-check.
+out-of-range q, a row file to resume that another run wrote, an --out
+file that is not a row file, or a tolerance the coefficients cannot
+attain, each with an error message; 2 a theorem exception, an
+indeterminate verdict (from its first evaluation: tol changes no
+computed value, so nothing is retried), or a failed lemma check.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ def _build_parser() -> _Parser:
     s.add_argument("--tol", type=float, default=1e-9,
                    help="absolute tolerance per L-value (default 1e-9); it changes "
                         "no computed value, only which conductors are refused")
-    s.add_argument("--threads", type=int, default=None,
-                   help="worker processes (default: $L1SWEEP_THREADS or 1)")
+    s.add_argument("--threads", type=int, default=1,
+                   help="worker processes (default 1)")
     s.add_argument("--out", required=True, help="row file path")
 
     lv = sub.add_parser("lvalue", help="print L(1,chi) for one conductor")

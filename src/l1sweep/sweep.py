@@ -22,10 +22,9 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 
 from .batch import batch_maxima
-from .bounds import excess_margin, theorem_constant
+from .bounds import check_theorem
 from .characters import count_primitive
 
-THREADS_ENV = "L1SWEEP_THREADS"
 _HEADER = b"q,parity,excess_mid,excess_rad,index,constant,margin_mid,margin_rad,verdict,ambiguous\n"
 
 
@@ -88,15 +87,15 @@ class SweepSummary:
 
 
 def _worker(args: tuple[int, float]) -> tuple[list[SweepRow], int]:
-    """Rows of one conductor from a single batch_maxima evaluation."""
+    """Rows of one conductor: check_theorem of each parity's argmax record."""
     q, tol = args
     maxima, n_prim = batch_maxima(q, tol)
     rows = []
-    for mx in maxima:
-        margin, verdict = excess_margin(mx.excess.mid, mx.excess.rad, mx.parity)
-        rows.append(SweepRow(q, mx.parity, mx.excess.mid, mx.excess.rad,
-                             mx.index, theorem_constant(mx.parity).mid,
-                             margin.mid, margin.rad, verdict, mx.ambiguous))
+    for rec, ambiguous in maxima:
+        rep = check_theorem(rec)
+        rows.append(SweepRow(q, rec.parity, rec.excess_mid, rec.excess_rad, rec.index,
+                             rep.constant.mid, rep.margin.mid, rep.margin.rad,
+                             rep.verdict, ambiguous))
     return rows, n_prim
 
 
@@ -128,18 +127,8 @@ def _load_resume(fh):
     return rows()
 
 
-def default_threads() -> int:
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
-    return 1
-
-
 def sweep(qmin: int, qmax: int, divisor: int = 3, tol: float = 1e-9,
-          threads: int | None = None, out_path: str | None = None) -> SweepSummary:
+          threads: int = 1, out_path: str | None = None) -> SweepSummary:
     """Evaluate every conductor in [qmin, qmax] with divisor | q against the
     theorem constants; write one row per (q, parity).
 
@@ -154,7 +143,6 @@ def sweep(qmin: int, qmax: int, divisor: int = 3, tol: float = 1e-9,
     if divisor is None or divisor <= 0 or divisor % 3:
         raise ValueError(f"the theorem needs 3 | q: divisor must be a positive "
                          f"multiple of 3, got {divisor}")
-    threads = threads if threads is not None else default_threads()
     t0 = time.perf_counter()
     qs = conductor_range(qmin, qmax, divisor)
     maxima: dict[str, SweepRow] = {}
@@ -261,8 +249,10 @@ def summarize(summary: SweepSummary) -> str:
         if row is None:
             lines.append(f"{parity} maximum: (no characters)")
         else:
+            # C is fixed per parity, so this row also has the least margin
             lines.append(f"{parity} maximum: q={row.q} index={row.index} "
-                         f"excess={row.excess_mid:.6f} (+/- {row.excess_rad:.1e})"
+                         f"excess={row.excess_mid:.6f} (+/- {row.excess_rad:.1e}) "
+                         f"margin={row.margin_mid:.6f} (+/- {row.margin_rad:.1e})"
                          + (" [argmax-ambiguous]" if row.ambiguous else ""))
     if summary.tolerance_floor:
         lines.append(f"tolerance floor hit at q in {summary.tolerance_floor}")

@@ -180,7 +180,7 @@ def _bits(rec):
 @pytest.mark.parametrize("q", [3, 5, 9, 249, 996, 4096, 9999])
 def test_l_values_match_scalar_path(q):
     # the per-record Ball arithmetic, kept as the reference for the array pass
-    spec, env, prim, odd, log3 = batch._spectrum(q, 1e-9)
+    _, spec, env, prim, odd, log3 = batch._spectrum(q, 1e-9)
     want = []
     for i in np.flatnonzero(prim).tolist():
         value = ComplexBall(Ball(float(spec[i].real), env), Ball(float(spec[i].imag), env))
@@ -331,26 +331,35 @@ def test_conjugation_symmetry():
 
 
 def test_batch_maxima_agree_with_records():
-    for q in (9, 13, 45, 100, 249):
+    # each parity's maximum is the l_values record of its argmax, float
+    # for float, and no other record's excess is separably larger
+    for q in (9, 13, 45, 96, 100, 249, 999):
         maxima, n_prim = batch_maxima(q)
-        recs = l_values(q)
+        recs = {r.index: r for r in l_values(q)}
         assert n_prim == len(recs)
-        for mx in maxima:
-            best = max((r for r in recs if r.parity == mx.parity),
-                       key=lambda r: r.excess.mid)
-            assert mx.index == best.index or abs(mx.excess.mid - best.excess.mid) < 2 * best.excess.rad
-            assert abs(mx.excess.mid - best.excess.mid) <= 1e-12
+        assert [rec.parity for rec, _ in maxima] == ["even", "odd"]
+        for rec, _ in maxima:
+            assert _bits(rec) == _bits(recs[rec.index])
+            best = max((r for r in recs.values() if r.parity == rec.parity),
+                       key=lambda r: r.excess_mid)
+            assert rec.index == best.index or rec.excess.overlaps(best.excess)
 
 
-def test_batch_maxima_ambiguity_flags_conjugate_pairs():
-    # q=9 has exactly two primitive even characters, complex conjugates,
-    # hence equal |L|: the argmax is ambiguous by construction
-    maxima, _ = batch_maxima(9)
-    even = [m for m in maxima if m.parity == "even"][0]
-    assert even.ambiguous
+def test_batch_maxima_ambiguity_skips_conjugate_pairs():
+    # a(n) is real, so chi and its conjugate have the same |L|: only a
+    # candidate outside the argmax's conjugate pair makes a row ambiguous
+    def maximum(q, parity):
+        return next(m for m in batch_maxima(q)[0] if m[0].parity == parity)
+
+    # q=9 has exactly two primitive even characters, complex conjugates
+    rec, ambiguous = maximum(9, "even")
+    assert conjugate_index(unit_group(9), rec.index) != rec.index and not ambiguous
     # a real-character maximum is not flagged (q=249, the global even max)
-    maxima249, _ = batch_maxima(249)
-    even249 = [m for m in maxima249 if m.parity == "even"][0]
-    assert not even249.ambiguous
-    g = unit_group(249)
-    assert conjugate_index(g, even249.index) == even249.index
+    rec, ambiguous = maximum(249, "even")
+    assert conjugate_index(unit_group(249), rec.index) == rec.index and not ambiguous
+    # q=96 odd: the argmax 3 ties its conjugate 15, and 7 and 11 overlap too
+    rec, ambiguous = maximum(96, "odd")
+    assert (rec.index, conjugate_index(unit_group(96), rec.index)) == (3, 15)
+    recs = {r.index: r for r in l_values(96)}
+    assert all(recs[i].excess.overlaps(rec.excess) for i in (7, 11))
+    assert ambiguous

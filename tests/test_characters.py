@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from l1sweep.arith import dlog, unit_group, units
 from l1sweep.ball import ComplexBall
-from l1sweep.characters import (character_from_exps, chi_value, count_primitive,
-                                enumerate_characters, gauss_sum, parity_mask,
-                                primitive_mask, roots_of_unity)
+from l1sweep.characters import (character_from_exps, chi_value, conjugate_index,
+                                count_primitive, enumerate_characters, gauss_sum,
+                                parity_mask, primitive_mask, roots_of_unity)
 
 mp.mp.dps = 40
 
@@ -44,6 +44,14 @@ def test_enumeration_is_lexicographic_and_complete():
     seen = [c.exps for c in chars]
     assert seen == sorted(seen)
     assert len(set(seen)) == g.phi
+
+
+@pytest.mark.parametrize("q", [3, 8, 35, 96, 240, 4095, 65520])
+def test_conjugate_index_negates_every_exponent(q):
+    g = unit_group(q)
+    exps = np.unravel_index(np.arange(g.phi), g.orders)
+    neg = np.ravel_multi_index([(-k) % o for k, o in zip(exps, g.orders)], g.orders)
+    assert [conjugate_index(g, i) for i in range(g.phi)] == neg.tolist()
 
 
 def test_chi_value_examples():

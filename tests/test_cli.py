@@ -70,14 +70,6 @@ def test_lvalue_bad_input_exits_1(q, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_sweep_bad_threads_env_exits_1(monkeypatch, tmp_path, capsys):
-    monkeypatch.setenv("L1SWEEP_THREADS", "abc")
-    assert main(["sweep", "--qmin", "3", "--qmax", "9",
-                 "--out", str(tmp_path / "rows.csv")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "L1SWEEP_THREADS" in err
-
-
 def test_sweep_mixed_range_resume_exits_1(tmp_path, capsys):
     out = tmp_path / "rows.csv"
     assert main(["sweep", "--qmin", "300", "--qmax", "600", "--out", str(out)]) == 0

@@ -1,5 +1,6 @@
 """Sweep machinery: rows, files, resume, determinism, figure data."""
 
+import hashlib
 import importlib
 import os
 
@@ -7,6 +8,7 @@ import pytest
 
 from l1sweep.batch import batch_maxima, direct_sum, build_coefficients, l_values
 from l1sweep.arith import unit_group
+from l1sweep.bounds import check_theorem
 from l1sweep.characters import count_primitive, enumerate_characters
 from l1sweep.special import ToleranceError
 from l1sweep.sweep import (SweepRow, _load_resume, conductor_range,
@@ -206,15 +208,11 @@ def test_resume_formats_only_recomputed_rows(monkeypatch, tmp_path):
 def test_summary_folds_the_row_file(monkeypatch, tmp_path):
     # maxima and exceptions are folded row by row; they must equal a scan of
     # the file, for a fresh sweep and for one resumed from a cut file
-    from l1sweep.ball import Ball
-    from l1sweep.batch import ParityMaximum
-
     def wide_at_7(q, tol=1e-9):
         # every q divisible by 7 gets an undecidable maximum
         maxima, n = batch_maxima(q, tol)
-        return [ParityMaximum(m.q, m.parity, m.index,
-                              Ball(m.excess.mid, 5.0 if q % 7 == 0 else m.excess.rad),
-                              m.ambiguous) for m in maxima], n
+        return [(rec._replace(excess_rad=5.0) if q % 7 == 0 else rec, ambiguous)
+                for rec, ambiguous in maxima], n
 
     def scanned(rows):
         maxima = {p: max((r for r in rows if r.parity == p), key=lambda r: r.excess_mid)
@@ -272,15 +270,15 @@ def test_summary_text(tmp_path):
     assert "theorem exceptions:    none" in text
 
 
-def test_threads_env_var_default(monkeypatch):
-    from l1sweep.sweep import default_threads
-    monkeypatch.delenv("L1SWEEP_THREADS", raising=False)
-    assert default_threads() == 1
-    monkeypatch.setenv("L1SWEEP_THREADS", "6")
-    assert default_threads() == 6
-    monkeypatch.setenv("L1SWEEP_THREADS", "junk")
-    with pytest.raises(ValueError, match="L1SWEEP_THREADS"):
-        default_threads()
+def test_summary_shows_the_least_margin(tmp_path):
+    # the odd maximum over 3..200 is at q = 111, where the margin to the
+    # theorem's odd constant is the smallest of any row
+    summary = sweep(3, 200, 3, out_path=str(tmp_path / "rows.csv"))
+    odd = summary.maxima["odd"]
+    assert odd.q == 111
+    line = next(ln for ln in summarize(summary).splitlines() if ln.startswith("odd maximum"))
+    assert f"margin={odd.margin_mid:.6f} (+/- {odd.margin_rad:.1e})" in line
+    assert "margin=0.022723 " in line
 
 
 @pytest.mark.parametrize("q", [9, 111, 249, 999, 1533, 2997, 9999])
@@ -298,8 +296,6 @@ def test_maxima_do_not_depend_on_tol(q):
 def test_indeterminate_verdict_is_final(monkeypatch, tmp_path):
     # a maximum whose excess ball is too wide to decide stays
     # indeterminate: the conductor is evaluated once and the sweep fails
-    from l1sweep.ball import Ball
-    from l1sweep.batch import ParityMaximum
     from l1sweep.cli import main
 
     calls = []
@@ -307,8 +303,7 @@ def test_indeterminate_verdict_is_final(monkeypatch, tmp_path):
     def wide(q, tol=1e-9):
         calls.append((q, tol))
         maxima, n = batch_maxima(q, tol)
-        return [ParityMaximum(m.q, m.parity, m.index, Ball(m.excess.mid, 5.0),
-                              m.ambiguous) for m in maxima], n
+        return [(rec._replace(excess_rad=5.0), ambiguous) for rec, ambiguous in maxima], n
 
     monkeypatch.setattr(sweep_mod, "batch_maxima", wide)
     summary = sweep(3, 3)
@@ -352,3 +347,51 @@ def test_even_band_for_q_divisible_by_12_sits_lower(tmp_path):
     high = [r.excess_mid for r in even if r.q % 12 != 0]
     assert low and high
     assert sum(low) / len(low) < sum(high) / len(high) - 0.1
+
+
+# sha256 of the row file of sweep(3, 3000) at any thread count.  A change
+# to row bytes must fail here and record its new digest.
+ROWS_3000_SHA256 = "e5361a2e145d340797f237617c06e2b273b22027b2823c90ba77480c7c30b0c8"
+
+
+@pytest.fixture(scope="module")
+def rows_3000(tmp_path_factory):
+    path = tmp_path_factory.mktemp("rows") / "rows.csv"
+    sweep(3, 3000, 3, threads=1, out_path=str(path))
+    return path
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_row_file_digest(threads, rows_3000, tmp_path):
+    path = rows_3000
+    if threads != 1:
+        path = tmp_path / "rows.csv"
+        sweep(3, 3000, 3, threads=threads, out_path=str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == ROWS_3000_SHA256
+
+
+def test_rows_are_the_reports_of_their_argmax_records(rows_3000):
+    # a row's excess, margin and verdict are check_theorem's report on the
+    # l_values record at the row's index, to the last bit
+    rows = [r for r in read_rows(rows_3000) if r.q <= 2000]
+    assert len(rows) == 996
+    for row in rows:
+        rec = next(r for r in l_values(row.q) if r.index == row.index)
+        rep = check_theorem(rec)
+        assert rec.parity == row.parity and rep.verdict == row.verdict
+        assert ([x.hex() for x in (row.excess_mid, row.excess_rad, row.margin_mid, row.margin_rad)]
+                == [x.hex() for x in (rec.excess_mid, rec.excess_rad, rep.margin.mid, rep.margin.rad)])
+
+
+def test_a_passing_row_covers_every_record_of_its_parity(rows_3000):
+    # the proof obligation behind batch_maxima: a pass on the argmax's
+    # record is a pass for every character of that parity
+    passing = {(r.q, r.parity) for r in read_rows(rows_3000) if r.verdict == "pass"}
+    assert len(passing) == 1498
+    checked = 0
+    for q in sorted({q for q, _ in passing}):
+        for rec in l_values(q):
+            if (q, rec.parity) in passing:
+                assert check_theorem(rec).verdict == "pass", (q, rec.index)
+                checked += 1
+    assert checked == count_primitive(3000, 3)
