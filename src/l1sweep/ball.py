@@ -243,9 +243,6 @@ class ComplexBall:
 
     __rmul__ = __mul__
 
-    def conj(self) -> "ComplexBall":
-        return ComplexBall(self.re, -self.im)
-
     def abs(self) -> Ball:
         return ball_hypot(self.re, self.im)
 

@@ -1,13 +1,14 @@
 """Batch evaluation of L(1,chi) for all characters of one conductor.
 
-The coefficient vector a(n) = -psi(n/q)/q is scattered into the
-exponent lattice of the unit group and transformed by one FFT per
-cyclic component, which evaluates sum_n a(n) chi(n) for every character
-at once in O(phi(q) log q).  numpy's pocketfft supplies mixed-radix and
-Bluestein kernels for arbitrary axis lengths; rigor is preserved by
-computing on midpoints and adding a single certified error envelope per
-output (roundoff-growth bound plus the summed input radii), validated
-against exact small-length DFTs and the direct per-character sum.
+The coefficient vector a(n) = -psi(n/q)/q is evaluated on the units laid
+out on the exponent lattice of the unit group and transformed by one FFT
+per cyclic component, which evaluates sum_n a(n) chi(n) for every
+character at once in O(phi(q) log q).  numpy's pocketfft supplies
+mixed-radix and Bluestein kernels for arbitrary axis lengths; rigor is
+preserved by computing on midpoints and adding a single certified error
+envelope per output (roundoff-growth bound plus the summed input radii),
+validated against exact small-length DFTs and the direct per-character
+sum.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import UnitGroupStructure, dlog_matrix, unit_group, units
+from .arith import UnitGroupStructure, dlog_matrix, euler_phi, unit_group
 from .ball import Ball, ComplexBall, _out_array
 from .characters import (Character, _lcm_orders, conjugate_index, parity_mask,
                          primitive_mask, roots_of_unity)
@@ -36,52 +37,48 @@ _FFT_C = 4.0
 
 @dataclass(frozen=True)
 class CoefficientVector:
-    """a(n) = -psi(n/q)/q on the units n mod q, as midpoint/radius arrays."""
+    """a(n) = -psi(n/q)/q as midpoint/radius arrays, at n = g.lattice: entry
+    k belongs to the unit at flat position k of g's exponent lattice."""
 
-    q: int
-    units: np.ndarray
+    g: UnitGroupStructure
     mids: np.ndarray
     rads: np.ndarray
 
 
 def build_coefficients(q: int, tol: float) -> CoefficientVector:
-    """Digamma coefficient vector with per-entry radius at most tol."""
+    """Digamma coefficient vector on unit_group(q)'s lattice, with per-entry
+    radius at most tol."""
     if q < 3:
         raise ValueError(f"build_coefficients requires q >= 3, got {q}")
-    us = units(q)
-    x = us / float(q)
-    psi_mid, psi_rad = digamma_points(x)
+    g = unit_group(q)
+    psi_mid, psi_rad = digamma_points(g.lattice / float(q))
     mids = -psi_mid / q
     rads = psi_rad / q * (1.0 + 2.0 ** -40) + 2.0 * _EPS * np.abs(mids)
     worst = float(rads.max())
     if worst > tol:
         raise ToleranceError(tol, worst, q)
-    return CoefficientVector(q, us, mids, rads)
+    return CoefficientVector(g, mids, rads)
 
 
-def character_sums(g: UnitGroupStructure, us: np.ndarray, unit_values: np.ndarray,
-                   unit_rads: np.ndarray) -> tuple[np.ndarray, float]:
+def character_sums(g: UnitGroupStructure, values: np.ndarray,
+                   rads: np.ndarray) -> tuple[np.ndarray, float]:
     """sum_n a(n) chi(n) for every character, in enumeration order.
 
-    `unit_values` and `unit_rads` are aligned with `us`, every unit mod
-    g.q once.  Returns the complex midpoint array (flattened lattice, C
-    order, which is exactly the lexicographic character order) and one
-    envelope radius valid for each output's real and imaginary parts.
+    `values` and `rads` are in lattice order, entry k at n = g.lattice[k].
+    Returns the complex midpoint array (flattened lattice, C order, which
+    is exactly the lexicographic character order) and one envelope radius
+    valid for each output's real and imaginary parts.
     """
     n = g.phi
-    # the conjugated lattice, built in place: empty cells hold conj(0) =
-    # 0 - 0j, and the -0.0 keeps the transform bit-identical to
-    # conj(fftn(conj(lattice)))
-    lattice = np.full(n, complex(0.0, -0.0))
-    pos = g.index[us]
-    lattice.real[pos] = unit_values.real
-    if np.iscomplexobj(unit_values):
-        lattice.imag[pos] = -unit_values.imag
+    # conj(fftn(conj(lattice))), both conjugates taken in place; a real
+    # entry's conjugate keeps the -0.0 imaginary part a copy would give
+    lattice = values.astype(np.complex128)
+    np.conj(lattice, out=lattice)
     spectrum = np.fft.fftn(lattice.reshape(g.orders))
     np.conj(spectrum, out=spectrum)
-    max_mag = float(np.max(np.abs(unit_values))) if n else 0.0
+    max_mag = float(np.max(np.abs(values)))
     envelope = (_FFT_C * math.log2(max(n, 2)) * _U * n * max_mag
-                + float(np.sum(unit_rads)))
+                + float(np.sum(rads)))
     return spectrum.ravel(), envelope
 
 
@@ -89,12 +86,12 @@ def direct_sum(g: UnitGroupStructure, coeffs: CoefficientVector,
                chi: Character) -> ComplexBall:
     """Naive O(phi(q)) evaluation of sum_n a(n) chi(n); the oracle the
     transform is checked against."""
-    if g.q != coeffs.q:
+    if g.q != coeffs.g.q:
         raise ValueError("coefficient vector and group have different conductors")
     L = _lcm_orders(g)
     weights = [L // c.order for c in g.components]
-    coords = dlog_matrix(g, coeffs.units)
-    nums = np.zeros(len(coeffs.units), dtype=np.int64)
+    coords = dlog_matrix(g, coeffs.g.lattice)
+    nums = np.zeros(g.phi, dtype=np.int64)
     for e, k, w in zip(chi.exps, coords, weights):
         nums += int(e) * k * w
     nums %= L
@@ -150,11 +147,10 @@ def _spectrum(q: int, tol: float):
     neither the unit group, the coefficients nor the transform are built."""
     if q % 4 == 2:
         return None
-    g = unit_group(q)
-    prim = primitive_mask(g)
-    coeffs = build_coefficients(q, tol / (2.0 * g.phi))
-    spec, env = character_sums(g, coeffs.units, coeffs.mids, coeffs.rads)
-    return g, spec, env, prim, parity_mask(g), Ball.exact(q).log() / 3
+    coeffs = build_coefficients(q, tol / (2.0 * euler_phi(q)))
+    g = coeffs.g
+    spec, env = character_sums(g, coeffs.mids, coeffs.rads)
+    return g, spec, env, primitive_mask(g), parity_mask(g), Ball.exact(q).log() / 3
 
 
 def l_values(q: int, tol: float = 1e-9) -> list[LValueRecord]:

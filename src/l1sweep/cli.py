@@ -3,11 +3,12 @@
 A `sweep` row is the `lvalue --q Q --index I` report of its argmax I.
 
 Exit codes: 0 success with nothing violated; 1 usage or I/O error, an
-out-of-range q, a row file to resume that another run wrote, an --out
-file that is not a row file, or a tolerance the coefficients cannot
-attain, each with an error message; 2 a theorem exception, an
-indeterminate verdict (from its first evaluation: tol changes no
-computed value, so nothing is retried), or a failed lemma check.
+out-of-range q, --qmax or --grid, a row file to resume that another
+run wrote, an --out file that is not a row file, or a tolerance the
+coefficients cannot attain, each with an error message; 2 a theorem
+exception, an indeterminate verdict (from its first evaluation: tol
+changes no computed value, so nothing is retried), or a failed lemma
+check.
 """
 
 from __future__ import annotations
@@ -64,21 +65,13 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        summary = sweep(args.qmin, args.qmax, 3, args.tol, args.threads, args.out)
-    except (OSError, ValueError) as e:  # ValueError includes ToleranceError
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    summary = sweep(args.qmin, args.qmax, 3, args.tol, args.threads, args.out)
     print(summarize(summary))
     return 2 if summary.exceptions else 0
 
 
 def _cmd_lvalue(args) -> int:
-    try:
-        records = l_values(args.q)
-    except ValueError as e:  # q < 3, or ToleranceError
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    records = l_values(args.q)
     if not records:
         print(f"q={args.q}: no primitive characters")
         return 0
@@ -103,11 +96,7 @@ def _cmd_lvalue(args) -> int:
 
 
 def _cmd_figure_data(args) -> int:
-    try:
-        n = emit_figure_data(args.in_path, args.parity, args.out)
-    except (OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    n = emit_figure_data(args.in_path, args.parity, args.out)
     print(f"wrote {n} points to {args.out}")
     return 0
 
@@ -122,8 +111,7 @@ def _cmd_check_lemmas(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    divisor = None if args.all_q else 3
-    print(count_primitive(args.qmax, divisor))
+    print(count_primitive(args.qmax, None if args.all_q else 3))
     return 0
 
 
@@ -136,7 +124,11 @@ def main(argv: list[str] | None = None) -> int:
         "check-lemmas": _cmd_check_lemmas,
         "count": _cmd_count,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except (OSError, ValueError) as e:  # bad input or I/O; includes ToleranceError
+        print(f"error: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -213,8 +213,9 @@ def check_lemma32(delta: float, tol: float = 1e-9) -> Ball:
 
 # -- section 3 inner-sum bounds (exact arithmetic) ----------------------------
 
-def _sum_squares_coprime3(x: int) -> int:
-    """T(x) = sum over 1 <= m <= x, 3 not | m, of (x - m)^2, exactly."""
+def _sum_squares_coprime3(x):
+    """T(x) = sum over 1 <= m <= x, 3 not | m, of (x - m)^2, exactly; on an
+    int64 array, elementwise (exact while 2x^3 fits, x < 1.6e6)."""
     total = (x - 1) * x * (2 * x - 1) // 6
     p = x // 3
     by3 = p * x * x - 3 * x * p * (p + 1) + 3 * p * (p + 1) * (2 * p + 1) // 2
@@ -232,11 +233,7 @@ def check_inner_sum_bound(dq: int) -> Fraction:
 def inner_sum_bound_margins(lo: int = 5, hi: int = 10 ** 4) -> np.ndarray:
     """Vectorized exact numerators 2x^3 + 42x - 126 - 9T(x) for x in [lo, hi]."""
     x = np.arange(lo, hi + 1, dtype=np.int64)
-    total = (x - 1) * x * (2 * x - 1) // 6
-    p = x // 3
-    by3 = p * x * x - 3 * x * p * (p + 1) + 3 * p * (p + 1) * (2 * p + 1) // 2
-    t = total - by3
-    return 2 * x ** 3 + 42 * x - 126 - 9 * t
+    return 2 * x ** 3 + 42 * x - 126 - 9 * _sum_squares_coprime3(x)
 
 
 def check_even_inner_sum(x: float, tol: float = 1e-9) -> Ball:
@@ -258,6 +255,8 @@ def check_even_inner_sum(x: float, tol: float = 1e-9) -> Ball:
 
 def run_all(grid_n: int = 100) -> list[CheckResult]:
     """Run every lemma check on default grids; one result line per check."""
+    if grid_n < 2:
+        raise ValueError(f"grid must be at least 2, got {grid_n}")
     results = []
 
     res = check_j_integral()

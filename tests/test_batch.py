@@ -21,7 +21,7 @@ from l1sweep.batch import (batch_maxima, build_coefficients, character_sums,
                            direct_sum, l_values)
 from l1sweep.characters import (chi_value, conjugate_index,
                                 enumerate_characters, primitive_mask)
-from l1sweep.special import ToleranceError, digamma
+from l1sweep.special import ToleranceError, digamma, digamma_points
 
 mp.mp.dps = 40
 
@@ -41,7 +41,7 @@ def leibniz_pi_over_4(terms: int = 200_000) -> float:
 def test_build_coefficients_match_scalar_digamma():
     for q in (3, 4, 5, 12, 30):
         c = build_coefficients(q, 1e-10)
-        for n, mid, rad in zip(c.units, c.mids, c.rads):
+        for n, mid, rad in zip(c.g.lattice, c.mids, c.rads):
             ref = -digamma(int(n) / q, tol=1e-11) / q
             assert abs(mid - ref.mid) <= rad + ref.rad, (q, n)
 
@@ -63,19 +63,19 @@ def test_build_coefficients_tolerance_contract():
 
 def test_transform_indicator_vectors():
     g = unit_group(21)
-    us = units(21)
+    us = g.lattice
     n_units = len(us)
     # indicator of n = 1: every character sum is exactly 1
     vals = np.zeros(n_units, dtype=np.complex128)
-    vals[0] = 1.0  # units are ascending, so index 0 is n=1
-    spec, env = character_sums(g, us, vals, np.zeros(n_units))
+    vals[0] = 1.0  # the lattice starts at the zero exponent, n=1
+    spec, env = character_sums(g, vals, np.zeros(n_units))
     assert np.allclose(spec, 1.0, atol=1e-12)
     # indicator of n0: sums enumerate chi(n0)
     chars = enumerate_characters(g)
     for pos, n0 in ((3, int(us[3])), (7, int(us[7]))):
         vals = np.zeros(n_units, dtype=np.complex128)
         vals[pos] = 1.0
-        spec, env = character_sums(g, us, vals, np.zeros(n_units))
+        spec, env = character_sums(g, vals, np.zeros(n_units))
         for i, chi in enumerate(chars):
             want = chi_value(chi, n0)
             assert abs(spec[i].real - want.re.mid) <= env + want.re.rad + 1e-13
@@ -106,19 +106,6 @@ def test_l_values_empty_for_2_mod_4():
         assert l_values(q) == []
 
 
-def test_units_enumerated_once_per_conductor(monkeypatch):
-    # the coefficients and the transform share one unit array
-    calls = []
-
-    def counting_units(q):
-        calls.append(q)
-        return units(q)
-
-    monkeypatch.setattr(batch, "units", counting_units)
-    batch_maxima(999)
-    assert calls == [999]
-
-
 def _patch_everywhere(monkeypatch, original, replacement):
     """Put `replacement` wherever an l1sweep module holds `original`, as
     the benchmark's tracer puts its wrappers."""
@@ -129,11 +116,35 @@ def _patch_everywhere(monkeypatch, original, replacement):
                     monkeypatch.setattr(module, key, replacement)
 
 
+def test_units_enumerated_once_per_conductor(monkeypatch):
+    # the coefficients are built on the unit lattice, so the units are
+    # generated once, by unit_group, and never sieved by units()
+    want_maxima, want_records = batch_maxima(999), l_values(999)
+
+    def no_units(q):
+        raise AssertionError("units() sieved on the production path")
+
+    _patch_everywhere(monkeypatch, arith.units, no_units)
+    built = []
+    original = arith.unit_group
+
+    def counted_unit_group(q):
+        built.append(q)
+        return original(q)
+
+    _patch_everywhere(monkeypatch, original, counted_unit_group)
+    assert batch_maxima(999) == want_maxima
+    assert built == [999]
+    built.clear()
+    assert l_values(999) == want_records
+    assert built == [999]
+
+
 def test_spectrum_needs_no_dlog_matrix(monkeypatch):
-    # the scatter reads the unit lattice's index and the masks read each
+    # the coefficients are built in lattice order and the masks read each
     # axis's prime-power part, so no discrete log is taken and q is
-    # factored only by unit_group and units; dlog and dlog_matrix serve
-    # the oracles
+    # factored only by unit_group and euler_phi; dlog and dlog_matrix
+    # serve the oracles
     want_maxima, want_records = batch_maxima(999), l_values(999)
 
     def no_dlog(*args):
@@ -230,22 +241,29 @@ def _character_sums_reference(g, us, unit_values):
 
 def test_character_sums_bit_identical_to_conjugate_copies():
     # the in-place conjugates must keep every bit, the sign of each zero
-    # included: a lattice filled with +0j instead of conj(0j) = 0 - 0j
-    # changes the sign of some zero outputs
-    for q in list(range(3, 1000, 3)) + [98613]:
-        g = unit_group(q)
-        c = build_coefficients(q, 1e-9 / (2 * g.phi))
-        spec, _ = character_sums(g, c.units, c.mids, c.rads)
-        want = _character_sums_reference(g, c.units, c.mids)
-        assert np.array_equal(spec.view(np.int64), want.view(np.int64)), q
+    # included: conjugating a real entry gives it a -0.0 imaginary part,
+    # and a +0.0 there changes the sign of some zero outputs
     rng = np.random.default_rng(5)
     for q in (21, 59, 360):
         g = unit_group(q)
-        us = units(q)
+        us = g.lattice
         vals = rng.standard_normal(len(us)) + 1j * rng.standard_normal(len(us))
         vals[::3] = vals[::3].real          # some +0.0 imaginary parts
-        spec, _ = character_sums(g, us, vals, np.zeros(len(us)))
+        spec, _ = character_sums(g, vals, np.zeros(len(us)))
         want = _character_sums_reference(g, us, vals)
+        assert np.array_equal(spec.view(np.int64), want.view(np.int64)), q
+
+
+def test_lattice_coefficients_bit_identical_to_ascending_scatter():
+    # digamma evaluated in lattice order and transformed in place gives
+    # every bit of the spectrum that digamma evaluated on the ascending
+    # units and scattered into the lattice gives
+    for q in list(range(3, 1000, 3)) + [98613]:
+        g = unit_group(q)
+        c = build_coefficients(q, 1e-9 / (2 * g.phi))
+        spec, _ = character_sums(g, c.mids, c.rads)
+        us = units(q)
+        want = _character_sums_reference(g, us, -digamma_points(us / float(q))[0] / q)
         assert np.array_equal(spec.view(np.int64), want.view(np.int64)), q
 
 
@@ -266,7 +284,7 @@ def test_dft_direct_equivalence_spot():
     for q in (7, 16, 24, 45, 59, 60):
         g = unit_group(q)
         c = build_coefficients(q, 1e-9 / (2 * g.phi))
-        spec, env = character_sums(g, c.units, c.mids, c.rads)
+        spec, env = character_sums(g, c.mids, c.rads)
         for i, chi in enumerate(enumerate_characters(g)):
             d = direct_sum(g, c, chi)
             assert abs(spec[i].real - d.re.mid) <= env + d.re.rad, (q, i)
@@ -279,9 +297,9 @@ def test_transform_against_exact_dft_reference():
     rng = np.random.default_rng(17)
     for q in (16, 27, 59, 97):
         g = unit_group(q)
-        us = units(q)
+        us = g.lattice
         vals = rng.standard_normal(len(us)) + 1j * rng.standard_normal(len(us))
-        spec, env = character_sums(g, us, vals, np.zeros(len(us)))
+        spec, env = character_sums(g, vals, np.zeros(len(us)))
         chars = enumerate_characters(g)
         L = 1
         for comp in g.components:
@@ -301,9 +319,9 @@ def test_fft_envelope_has_headroom_on_small_sizes():
     worst_ratio = 0.0
     for q in (5, 7, 11, 13, 23, 29, 37, 47, 53, 61):
         g = unit_group(q)
-        us = units(q)
+        us = g.lattice
         vals = rng.standard_normal(len(us)) + 1j * rng.standard_normal(len(us))
-        spec, env = character_sums(g, us, vals, np.zeros(len(us)))
+        spec, env = character_sums(g, vals, np.zeros(len(us)))
         chars = enumerate_characters(g)
         cos_sin = None
         for i, chi in enumerate(chars):

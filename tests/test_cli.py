@@ -70,6 +70,18 @@ def test_lvalue_bad_input_exits_1(q, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["count", "--qmax", "0"],
+    ["count", "--qmax", "-5", "--all-q"],
+    ["check-lemmas", "--grid", "1"],
+    ["check-lemmas", "--grid", "0"],
+    ["check-lemmas", "--grid", "-5"],
+])
+def test_count_and_check_lemmas_bad_input_exits_1(argv, capsys):
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_sweep_mixed_range_resume_exits_1(tmp_path, capsys):
     out = tmp_path / "rows.csv"
     assert main(["sweep", "--qmin", "300", "--qmax", "600", "--out", str(out)]) == 0

@@ -58,7 +58,7 @@ def test_traced_functions_are_reached(monkeypatch):
     # a per-layer metric reads 0 when the workloads stop reaching its
     # function; the benchmark's paths (a sweep, then l_values and
     # check_theorem per record) must call every traced l1sweep function
-    # but dlog_matrix, which only the direct-sum oracle reaches
+    # but dlog_matrix and units, which only the oracles reach
     batch, bounds, sweep = (importlib.import_module(f"l1sweep.{m}")
                             for m in ("batch", "bounds", "sweep"))
     spans = _load(monkeypatch, "spans")
@@ -73,7 +73,8 @@ def test_traced_functions_are_reached(monkeypatch):
         return wrapper
 
     traced = [(module, attr, name) for module, attr, name, _ in spans.TRACED
-              if module.startswith("l1sweep.") and name != "arith.dlog_matrix"]
+              if module.startswith("l1sweep.")
+              and name not in ("arith.dlog_matrix", "arith.units")]
     for module, attr, name in traced:
         original = getattr(importlib.import_module(module), attr)
         wrapper = counted(name, original)

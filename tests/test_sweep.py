@@ -351,7 +351,7 @@ def test_even_band_for_q_divisible_by_12_sits_lower(tmp_path):
 
 # sha256 of the row file of sweep(3, 3000) at any thread count.  A change
 # to row bytes must fail here and record its new digest.
-ROWS_3000_SHA256 = "e5361a2e145d340797f237617c06e2b273b22027b2823c90ba77480c7c30b0c8"
+ROWS_3000_SHA256 = "bc09ec8355e8f21b3e72875e8709396df0f4f9091ae51c4ebb2482bf0ef91b48"
 
 
 @pytest.fixture(scope="module")
