@@ -5,14 +5,15 @@ per odd prime-power factor (generated by the smallest suitable primitive
 root) and one or two for the 2-part: nothing for 2, a single order-2
 component generated by 3 for 4, and <-1> x <5> for 2^e with e >= 3.
 The units are generated forward from the CRT-lifted generators, in C
-order over the exponent lattice, and a residue-indexed inverse of that
-layout gives discrete logarithms by lookup.
+order over the exponent lattice.  A residue-indexed inverse of that
+layout, built on first use, gives discrete logarithms by lookup.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -92,21 +93,31 @@ class Component:
     order: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class UnitGroupStructure:
     q: int
     phi: int
     components: tuple[Component, ...]
     # lattice[k] is the unit at flat position k (C order) of the exponent
     # lattice, prod_i G_i^{k_i} mod q with G_i the CRT lift of component
-    # i's generator; index[n] (int32) is the position of n, or -1 on a
-    # non-unit.
+    # i's generator
     lattice: np.ndarray = field(repr=False)
-    index: np.ndarray = field(repr=False)
 
     @property
     def orders(self) -> tuple[int, ...]:
         return tuple(c.order for c in self.components)
+
+    @cached_property
+    def index(self) -> np.ndarray:
+        """index[n] (int32) is the lattice position of n, or -1 on a non-unit.
+
+        Built from `lattice` on first read and kept for the object's life;
+        only the discrete logs read it, so a spectrum never builds it.
+        """
+        # positions are below phi(q) < q < 2^31, so int32 holds them
+        index = np.full(self.q, -1, dtype=np.int32)
+        index[self.lattice] = np.arange(self.lattice.size, dtype=np.int32)
+        return index
 
 
 def _powers(g: int, order: int, modulus: int) -> np.ndarray:
@@ -150,10 +161,7 @@ def unit_group(q: int) -> UnitGroupStructure:
         # the generator mod its part, 1 mod the rest of q
         lift = (1 + (c.generator - 1) * rest * pow(rest, -1, c.modulus)) % q
         lattice = (lattice[:, None] * _powers(lift, c.order, q)[None, :] % q).ravel()
-    # positions are below phi(q) < q < 2^31, so int32 holds them
-    index = np.full(q, -1, dtype=np.int32)
-    index[lattice] = np.arange(lattice.size, dtype=np.int32)
-    return UnitGroupStructure(q, fac.phi(), tuple(comps), lattice, index)
+    return UnitGroupStructure(q, fac.phi(), tuple(comps), lattice)
 
 
 def dlog(g: UnitGroupStructure, n: int) -> tuple[int, ...]:

@@ -1,14 +1,19 @@
-"""Batch evaluation of L(1,chi) for all characters of one conductor.
+"""Batch evaluation of L(1,chi) for all primitive characters of one conductor.
 
 The coefficient vector a(n) = -psi(n/q)/q is evaluated on the units laid
 out on the exponent lattice of the unit group and transformed by one FFT
 per cyclic component, which evaluates sum_n a(n) chi(n) for every
-character at once in O(phi(q) log q).  numpy's pocketfft supplies
+character at once in O(phi(q) log q).  Before the transform the lattice
+is folded on the order-2 axis of the part 3 (3 || q) and of the part 4
+(4 || q), where only the exponent 1 gives primitive characters: the
+difference of the axis's two halves is transformed instead, so those
+conductors transform a half or a quarter of the lattice, and each output
+keeps its full enumeration index.  numpy's pocketfft supplies
 mixed-radix and Bluestein kernels for arbitrary axis lengths; rigor is
 preserved by computing on midpoints and adding a single certified error
-envelope per output (roundoff-growth bound plus the summed input radii),
-validated against exact small-length DFTs and the direct per-character
-sum.
+envelope per output (roundoff-growth bound plus the summed input radii,
+the fold's rounding included), validated against exact small-length DFTs
+and the direct per-character sum.
 """
 
 from __future__ import annotations
@@ -60,26 +65,61 @@ def build_coefficients(q: int, tol: float) -> CoefficientVector:
     return CoefficientVector(g, mids, rads)
 
 
-def character_sums(g: UnitGroupStructure, values: np.ndarray,
+def character_sums(shape: tuple[int, ...], values: np.ndarray,
                    rads: np.ndarray) -> tuple[np.ndarray, float]:
-    """sum_n a(n) chi(n) for every character, in enumeration order.
+    """sum_n a(n) chi(n) for every character of a lattice of `shape`.
 
-    `values` and `rads` are in lattice order, entry k at n = g.lattice[k].
-    Returns the complex midpoint array (flattened lattice, C order, which
-    is exactly the lexicographic character order) and one envelope radius
-    valid for each output's real and imaginary parts.
+    `values` and `rads` are the flattened lattice in C order.  Returns the
+    complex midpoint array (flattened, C order, which is exactly the
+    lexicographic character order) and one envelope radius valid for each
+    output's real and imaginary parts: the FFT roundoff bound on N =
+    values.size points plus the summed input radii.  A float sum of N
+    nonnegative terms, in any order, is at least (1 - (N - 1)u) times the
+    exact sum, so scaling it by 1 + 2Nu (exact in binary) leaves an upper
+    bound after the product's own rounding, however numpy sums.
     """
-    n = g.phi
+    n = values.size
     # conj(fftn(conj(lattice))), both conjugates taken in place; a real
     # entry's conjugate keeps the -0.0 imaginary part a copy would give
     lattice = values.astype(np.complex128)
     np.conj(lattice, out=lattice)
-    spectrum = np.fft.fftn(lattice.reshape(g.orders))
+    spectrum = np.fft.fftn(lattice.reshape(shape))
     np.conj(spectrum, out=spectrum)
     max_mag = float(np.max(np.abs(values)))
     envelope = (_FFT_C * math.log2(max(n, 2)) * _U * n * max_mag
-                + float(np.sum(rads)))
+                + float(np.sum(rads)) * (1.0 + 2.0 * n * _U))
     return spectrum.ravel(), envelope
+
+
+def fold(g: UnitGroupStructure, mids: np.ndarray, rads: np.ndarray):
+    """The coefficient lattice reduced to its primitive slice on each axis
+    where only the exponent j = 1 is primitive: the order-2 axis of the
+    part 3 when 3 || q, and of the part 4 when 4 || q.
+
+    On an order-2 axis chi(g^k) = (-1)^(jk), so the characters with j = 1
+    there are the transform over the other axes of x[k=0] - x[k=1].  Each
+    fold replaces the lattice by that difference b and drops the axis.  b
+    is rounded once, so its entry's radius is r0 + r1 + u |b| / (1 - u),
+    at most r0 + r1 + 2u |b|; the factor 1 + 8u covers the three
+    roundings of computing that.
+
+    Returns (shape, values, rads, index): the folded lattice's shape, its
+    flattened midpoints and radii, and the full enumeration index of each
+    folded position, which increases along the flattened lattice.  With
+    every axis folded (q = 3, 4, 12) the lattice is one point of shape
+    (1,).
+    """
+    orders = list(g.orders)
+    mids, rads = mids.reshape(orders), rads.reshape(orders)
+    index = np.arange(g.phi).reshape(orders)
+    folded = [i for i, c in enumerate(g.components) if c.order == 2 and c.modulus in (3, 4)]
+    for axis in reversed(folded):
+        at = (slice(None),) * axis
+        b = mids[at + (0,)] - mids[at + (1,)]
+        rads = (rads[at + (0,)] + rads[at + (1,)] + 2.0 * _U * np.abs(b)) * (1.0 + 8.0 * _U)
+        mids, index = b, index[at + (1,)]
+        del orders[axis]
+    return tuple(orders) or (1,), mids.ravel(), rads.ravel(), index.ravel()
 
 
 def direct_sum(g: UnitGroupStructure, coeffs: CoefficientVector,
@@ -142,15 +182,20 @@ class LValueRecord(NamedTuple):
 
 
 def _spectrum(q: int, tol: float):
-    """The unit group, all character sums, masks and (1/3) log q of one conductor,
-    or None when q has no primitive character (q = 2 mod 4), in which case
-    neither the unit group, the coefficients nor the transform are built."""
+    """The unit group, the character sums of the folded lattice (see
+    `fold`) and their envelope, each sum's enumeration index, the
+    primitive and parity masks at those indices, and (1/3) log q of one
+    conductor.  None when q has no primitive character (q = 2 mod 4), in
+    which case neither the unit group, the coefficients nor the transform
+    are built."""
     if q % 4 == 2:
         return None
     coeffs = build_coefficients(q, tol / (2.0 * euler_phi(q)))
     g = coeffs.g
-    spec, env = character_sums(g, coeffs.mids, coeffs.rads)
-    return g, spec, env, primitive_mask(g), parity_mask(g), Ball.exact(q).log() / 3
+    shape, values, rads, index = fold(g, coeffs.mids, coeffs.rads)
+    spec, env = character_sums(shape, values, rads)
+    return (g, spec, env, index, primitive_mask(g)[index], parity_mask(g)[index],
+            Ball.exact(q).log() / 3)
 
 
 def l_values(q: int, tol: float = 1e-9) -> list[LValueRecord]:
@@ -170,7 +215,7 @@ def l_values(q: int, tol: float = 1e-9) -> list[LValueRecord]:
     sp = _spectrum(q, tol)
     if sp is None:
         return []
-    _, spec, env, prim, odd, log3 = sp
+    _, spec, env, index, prim, odd, log3 = sp
     idx = np.flatnonzero(prim)
     re, im = spec.real[idx].tolist(), spec.imag[idx].tolist()
     # math.hypot as in ball_hypot; np.hypot need not round the same way
@@ -183,7 +228,7 @@ def l_values(q: int, tol: float = 1e-9) -> list[LValueRecord]:
         raise ValueError(f"q={q}: negative radius in an L-value record")
     parity = map(("even", "odd").__getitem__, odd[idx].tolist())
     return list(map(LValueRecord._make, zip(
-        repeat(q), idx.tolist(), parity, re, im, repeat(env), abs_mid.tolist(),
+        repeat(q), index[idx].tolist(), parity, re, im, repeat(env), abs_mid.tolist(),
         abs_rad.tolist(), ex_mid.tolist(), ex_rad.tolist())))
 
 
@@ -213,7 +258,7 @@ def batch_maxima(q: int, tol: float = 1e-9) -> tuple[list[tuple[LValueRecord, bo
     sp = _spectrum(q, tol)
     if sp is None:
         return [], 0
-    g, spec, env, prim, odd, log3 = sp
+    g, spec, env, index, prim, odd, log3 = sp
     abs_mid = np.abs(spec)
     out = []
     for parity, sel in (("even", prim & ~odd), ("odd", prim & odd)):
@@ -223,12 +268,12 @@ def batch_maxima(q: int, tol: float = 1e-9) -> tuple[list[tuple[LValueRecord, bo
         mids = abs_mid[idx]
         top = float(mids.max())
         cands = idx[mids >= top - 2.0 * (2.0 * env + 2.0 * _EPS * top)]
-        best = int(cands[0])
-        re, im = float(spec.real[best]), float(spec.imag[best])
+        re, im = float(spec.real[cands[0]]), float(spec.imag[cands[0]])
         a = ComplexBall(Ball(re, env), Ball(im, env)).abs()
         e = a - log3
+        best = int(index[cands[0]])      # positions and indices rise together
         rec = LValueRecord(q, best, parity, re, im, env, a.mid, a.rad, e.mid, e.rad)
-        ambiguous = (cands.size > 1
-                     and not set(cands.tolist()) <= {best, conjugate_index(g, best)})
+        ambiguous = (cands.size > 1 and not set(index[cands].tolist())
+                     <= {best, conjugate_index(g, best)})
         out.append((rec, ambiguous))
     return out, int(prim.sum())

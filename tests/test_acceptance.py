@@ -151,7 +151,7 @@ def test_criterion_5_dft_equals_direct_and_reference():
     for q in range(3, 201):
         g = unit_group(q)
         coeffs = build_coefficients(q, 1e-9 / (2 * g.phi))
-        spec, env = character_sums(g, coeffs.mids, coeffs.rads)
+        spec, env = character_sums(g.orders, coeffs.mids, coeffs.rads)
         for i, chi in enumerate(enumerate_characters(g)):
             d = direct_sum(g, coeffs, chi)
             ok = ok and abs(spec[i].real - d.re.mid) <= env + d.re.rad
@@ -162,7 +162,7 @@ def test_criterion_5_dft_equals_direct_and_reference():
     for q in (16, 27, 97):
         g = unit_group(q)
         coeffs = build_coefficients(q, 1e-12)
-        spec, env = character_sums(g, coeffs.mids, coeffs.rads)
+        spec, env = character_sums(g.orders, coeffs.mids, coeffs.rads)
         us = [int(n) for n in units(q)]
         psi = {n: mp.digamma(mp.mpf(n) / q) for n in us}
         L = 1
@@ -191,7 +191,7 @@ def test_criterion_6_gauss_sum_moduli_to_300():
         from l1sweep.characters import roots_of_unity
         c, s = roots_of_unity(q)
         vals = c[us] + 1j * s[us]
-        spec, env = character_sums(g, vals, np.full(len(us), ROOT_RAD))
+        spec, env = character_sums(g.orders, vals, np.full(len(us), ROOT_RAD))
         moduli = np.abs(spec[prim])
         rad = 2 * env + 4 * 2.0 ** -52 * float(moduli.max() + 1.0)
         dev = float(np.max(np.abs(moduli - math.sqrt(q))))

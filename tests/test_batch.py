@@ -68,14 +68,14 @@ def test_transform_indicator_vectors():
     # indicator of n = 1: every character sum is exactly 1
     vals = np.zeros(n_units, dtype=np.complex128)
     vals[0] = 1.0  # the lattice starts at the zero exponent, n=1
-    spec, env = character_sums(g, vals, np.zeros(n_units))
+    spec, env = character_sums(g.orders, vals, np.zeros(n_units))
     assert np.allclose(spec, 1.0, atol=1e-12)
     # indicator of n0: sums enumerate chi(n0)
     chars = enumerate_characters(g)
     for pos, n0 in ((3, int(us[3])), (7, int(us[7]))):
         vals = np.zeros(n_units, dtype=np.complex128)
         vals[pos] = 1.0
-        spec, env = character_sums(g, vals, np.zeros(n_units))
+        spec, env = character_sums(g.orders, vals, np.zeros(n_units))
         for i, chi in enumerate(chars):
             want = chi_value(chi, n0)
             assert abs(spec[i].real - want.re.mid) <= env + want.re.rad + 1e-13
@@ -167,6 +167,20 @@ def test_spectrum_needs_no_dlog_matrix(monkeypatch):
     assert factored.count(999) <= 2
 
 
+def test_spectrum_builds_no_residue_index(monkeypatch):
+    # the length-q residue index serves only the discrete logs; q = 996
+    # folds both its order-2 axes, q = 999 none
+    want = {q: (batch_maxima(q), l_values(q)) for q in (996, 999)}
+
+    def no_index(g):
+        raise AssertionError("residue index built on the production path")
+
+    monkeypatch.setattr(arith.UnitGroupStructure, "index", property(no_index))
+    for q, (maxima, records) in want.items():
+        assert batch_maxima(q) == maxima
+        assert l_values(q) == records
+
+
 def test_no_spectrum_without_primitive_characters(monkeypatch):
     # q = 2 mod 4 has no primitive character: no unit group, no
     # coefficients, no transform
@@ -188,17 +202,18 @@ def _bits(rec):
     return (rec.q, rec.index, rec.parity) + tuple(x.hex() for b in balls for x in (b.mid, b.rad))
 
 
-@pytest.mark.parametrize("q", [3, 5, 9, 249, 996, 4096, 9999])
+@pytest.mark.parametrize("q", [3, 5, 9, 12, 249, 996, 4096, 9999])
 def test_l_values_match_scalar_path(q):
     # the per-record Ball arithmetic, kept as the reference for the array pass
-    _, spec, env, prim, odd, log3 = batch._spectrum(q, 1e-9)
+    _, spec, env, index, prim, odd, log3 = batch._spectrum(q, 1e-9)
     want = []
     for i in np.flatnonzero(prim).tolist():
         value = ComplexBall(Ball(float(spec[i].real), env), Ball(float(spec[i].imag), env))
         a = value.abs()
         e = a - log3
-        want.append(batch.LValueRecord(q, i, "odd" if odd[i] else "even", value.re.mid,
-                                       value.im.mid, env, a.mid, a.rad, e.mid, e.rad))
+        want.append(batch.LValueRecord(q, int(index[i]), "odd" if odd[i] else "even",
+                                       value.re.mid, value.im.mid, env, a.mid, a.rad,
+                                       e.mid, e.rad))
     got = l_values(q)
     assert [_bits(r) for r in got] == [_bits(r) for r in want]
 
@@ -249,7 +264,7 @@ def test_character_sums_bit_identical_to_conjugate_copies():
         us = g.lattice
         vals = rng.standard_normal(len(us)) + 1j * rng.standard_normal(len(us))
         vals[::3] = vals[::3].real          # some +0.0 imaginary parts
-        spec, _ = character_sums(g, vals, np.zeros(len(us)))
+        spec, _ = character_sums(g.orders, vals, np.zeros(len(us)))
         want = _character_sums_reference(g, us, vals)
         assert np.array_equal(spec.view(np.int64), want.view(np.int64)), q
 
@@ -261,7 +276,7 @@ def test_lattice_coefficients_bit_identical_to_ascending_scatter():
     for q in list(range(3, 1000, 3)) + [98613]:
         g = unit_group(q)
         c = build_coefficients(q, 1e-9 / (2 * g.phi))
-        spec, _ = character_sums(g, c.mids, c.rads)
+        spec, _ = character_sums(g.orders, c.mids, c.rads)
         us = units(q)
         want = _character_sums_reference(g, us, -digamma_points(us / float(q))[0] / q)
         assert np.array_equal(spec.view(np.int64), want.view(np.int64)), q
@@ -284,7 +299,7 @@ def test_dft_direct_equivalence_spot():
     for q in (7, 16, 24, 45, 59, 60):
         g = unit_group(q)
         c = build_coefficients(q, 1e-9 / (2 * g.phi))
-        spec, env = character_sums(g, c.mids, c.rads)
+        spec, env = character_sums(g.orders, c.mids, c.rads)
         for i, chi in enumerate(enumerate_characters(g)):
             d = direct_sum(g, c, chi)
             assert abs(spec[i].real - d.re.mid) <= env + d.re.rad, (q, i)
@@ -299,7 +314,7 @@ def test_transform_against_exact_dft_reference():
         g = unit_group(q)
         us = g.lattice
         vals = rng.standard_normal(len(us)) + 1j * rng.standard_normal(len(us))
-        spec, env = character_sums(g, vals, np.zeros(len(us)))
+        spec, env = character_sums(g.orders, vals, np.zeros(len(us)))
         chars = enumerate_characters(g)
         L = 1
         for comp in g.components:
@@ -321,7 +336,7 @@ def test_fft_envelope_has_headroom_on_small_sizes():
         g = unit_group(q)
         us = g.lattice
         vals = rng.standard_normal(len(us)) + 1j * rng.standard_normal(len(us))
-        spec, env = character_sums(g, vals, np.zeros(len(us)))
+        spec, env = character_sums(g.orders, vals, np.zeros(len(us)))
         chars = enumerate_characters(g)
         cos_sin = None
         for i, chi in enumerate(chars):
@@ -381,3 +396,56 @@ def test_batch_maxima_ambiguity_skips_conjugate_pairs():
     recs = {r.index: r for r in l_values(96)}
     assert all(recs[i].excess.overlaps(rec.excess) for i in (7, 11))
     assert ambiguous
+
+
+def test_fold_keeps_every_primitive_character():
+    # the fold drops only the exponent 0 of each folded axis, on which no
+    # character is primitive: the folded lattice holds every primitive
+    # character, and is half (3 || q or 4 || q) or a quarter (both) of phi
+    for q in list(range(3, 20_001)) + [999999, 1999995]:
+        if q % 4 == 2:
+            continue
+        g = unit_group(q)
+        shape, values, _, index = batch.fold(g, np.zeros(g.phi), np.zeros(g.phi))
+        prim = primitive_mask(g)
+        assert int(prim[index].sum()) == int(prim.sum()), q
+        halvings = (q % 3 == 0 and q % 9 != 0) + (q % 4 == 0 and q % 8 != 0)
+        assert values.size == math.prod(shape) == index.size == g.phi >> halvings, q
+        assert (np.diff(index) > 0).all(), q
+
+
+def test_folded_sums_agree_with_the_unfolded_transform():
+    # each part of each folded output lies within both envelopes of the
+    # unfolded character sum at its enumeration index
+    for q in range(3, 3001, 3):
+        if q % 4 == 2:
+            continue
+        g, spec, env, index, prim, odd, _ = batch._spectrum(q, 1e-9)
+        c = build_coefficients(q, 1e-9 / (2 * g.phi))
+        full, full_env = character_sums(g.orders, c.mids, c.rads)
+        assert np.array_equal(prim, primitive_mask(g)[index]), q
+        dev = spec - full[index]
+        assert max(np.abs(dev.real).max(), np.abs(dev.imag).max()) <= env + full_env, q
+        # the fold transforms at most half the lattice and its envelope
+        # is never the larger
+        if index.size < g.phi:
+            assert env <= full_env, q
+
+
+@pytest.mark.parametrize("q, want, parity", [
+    (3, math.pi / (3 * math.sqrt(3)), "odd"),
+    (4, math.pi / 4, "odd"),
+    # Q(sqrt 3): class number 1, fundamental unit 2 + sqrt 3
+    (12, math.log(2 + math.sqrt(3)) / math.sqrt(3), "even"),
+])
+def test_single_point_folds_match_closed_forms(q, want, parity):
+    # every axis folds, so the lattice is one 1-d point: L(1, chi) is the
+    # signed sum of the coefficients
+    g, spec, env, index, prim, odd, _ = batch._spectrum(q, 1e-9)
+    assert spec.shape == index.shape == (1,) and prim.tolist() == [True]
+    assert index.tolist() == [g.phi - 1]
+    assert ("odd" if odd[0] else "even") == parity
+    assert abs(spec[0].real - want) <= env and spec[0].imag == 0.0
+    (rec,) = l_values(q)
+    assert rec.index == g.phi - 1 and rec.parity == parity
+    assert rec.abs_value.contains(want)
