@@ -13,7 +13,9 @@ mixed-radix and Bluestein kernels for arbitrary axis lengths; rigor is
 preserved by computing on midpoints and adding a single certified error
 envelope per output (roundoff-growth bound plus the summed input radii,
 the fold's rounding included), validated against exact small-length DFTs
-and the direct per-character sum.
+and the direct per-character sum.  The spectrum then keeps the primitive
+characters only, and one array pass builds every L-value record from it,
+the two argmax records of `batch_maxima` included.
 """
 
 from __future__ import annotations
@@ -53,14 +55,15 @@ class CoefficientVector:
 def build_coefficients(q: int, tol: float) -> CoefficientVector:
     """Digamma coefficient vector on unit_group(q)'s lattice, with per-entry
     radius at most tol."""
-    if q < 3:
-        raise ValueError(f"build_coefficients requires q >= 3, got {q}")
-    g = unit_group(q)
-    psi_mid, psi_rad = digamma_points(g.lattice / float(q))
-    mids = -psi_mid / q
-    rads = psi_rad / q * (1.0 + 2.0 ** -40) + 2.0 * _EPS * np.abs(mids)
+    g = unit_group(q)                    # which refuses q < 3
+    # -psi/q and psi_rad/q (1 + 2^-40) + 2 eps |mids|, in place
+    mids, rads = digamma_points(g.lattice / float(q))
+    np.divide(np.negative(mids, out=mids), q, out=mids)
+    np.multiply(np.divide(rads, q, out=rads), 1.0 + 2.0 ** -40, out=rads)
+    slack = np.abs(mids)
+    rads += np.multiply(slack, 2.0 * _EPS, out=slack)
     worst = float(rads.max())
-    if worst > tol:
+    if not worst <= tol:                 # a NaN tol attains nothing
         raise ToleranceError(tol, worst, q)
     return CoefficientVector(g, mids, rads)
 
@@ -182,42 +185,31 @@ class LValueRecord(NamedTuple):
 
 
 def _spectrum(q: int, tol: float):
-    """The unit group, the character sums of the folded lattice (see
-    `fold`) and their envelope, each sum's enumeration index, the
-    primitive and parity masks at those indices, and (1/3) log q of one
-    conductor.  None when q has no primitive character (q = 2 mod 4), in
-    which case neither the unit group, the coefficients nor the transform
-    are built."""
+    """The unit group, the primitive characters' sums of the folded lattice
+    (see `fold`) and their envelope, each sum's enumeration index and
+    parity (True for odd), and (1/3) log q of one conductor.  None when q
+    has no primitive character (q = 2 mod 4), in which case neither the
+    unit group, the coefficients nor the transform are built."""
+    if q < 3:
+        raise ValueError(f"conductor q must be >= 3, got {q}")
     if q % 4 == 2:
         return None
     coeffs = build_coefficients(q, tol / (2.0 * euler_phi(q)))
     g = coeffs.g
     shape, values, rads, index = fold(g, coeffs.mids, coeffs.rads)
     spec, env = character_sums(shape, values, rads)
-    return (g, spec, env, index, primitive_mask(g)[index], parity_mask(g)[index],
-            Ball.exact(q).log() / 3)
+    prim = primitive_mask(g)[index]
+    index = index[prim]
+    return g, spec[prim], env, index, parity_mask(g)[index], Ball.exact(q).log() / 3
 
 
-def l_values(q: int, tol: float = 1e-9) -> list[LValueRecord]:
-    """L(1,chi) records for every primitive character mod q.
-
-    Conductors with no primitive characters (q = 2 mod 4) yield an empty
-    list.  Records appear in character enumeration order.
-
-    The ball arithmetic runs on arrays, once per conductor, and every
-    float of every record is bit-identical to the scalar path: the value
-    ball's `.abs()` (ball_hypot, with math.hypot on each midpoint pair)
-    for `abs_value`, then `abs_value - log3` for `excess`.  Each record
-    is one tuple of those floats; no Ball is built here.
-    """
-    if q < 3:
-        raise ValueError(f"l_values requires q >= 3, got {q}")
-    sp = _spectrum(q, tol)
-    if sp is None:
-        return []
-    _, spec, env, index, prim, odd, log3 = sp
-    idx = np.flatnonzero(prim)
-    re, im = spec.real[idx].tolist(), spec.imag[idx].tolist()
+def _records(q: int, spec: np.ndarray, env: float, index: np.ndarray,
+             odd: np.ndarray, log3: Ball) -> list[LValueRecord]:
+    """One L-value record per entry of `spec`, in one array pass.  Every
+    float is bit-identical to the scalar path: the value ball's `.abs()`
+    (ball_hypot, math.hypot on each midpoint pair), then `- log3`.  Each
+    record is one tuple of those floats; no Ball is built here."""
+    re, im = spec.real.tolist(), spec.imag.tolist()
     # math.hypot as in ball_hypot; np.hypot need not round the same way
     abs_mid = np.array(list(map(math.hypot, re, im)), dtype=np.float64)
     abs_rad = _out_array(abs_mid, env + env + 2.0 * _EPS * abs_mid)
@@ -226,10 +218,17 @@ def l_values(q: int, tol: float = 1e-9) -> list[LValueRecord]:
     # the check Ball.__post_init__ would make on each radius
     if not (env >= 0.0 and (abs_rad >= 0.0).all() and (ex_rad >= 0.0).all()):
         raise ValueError(f"q={q}: negative radius in an L-value record")
-    parity = map(("even", "odd").__getitem__, odd[idx].tolist())
+    parity = map(("even", "odd").__getitem__, odd.tolist())
     return list(map(LValueRecord._make, zip(
-        repeat(q), index[idx].tolist(), parity, re, im, repeat(env), abs_mid.tolist(),
+        repeat(q), index.tolist(), parity, re, im, repeat(env), abs_mid.tolist(),
         abs_rad.tolist(), ex_mid.tolist(), ex_rad.tolist())))
+
+
+def l_values(q: int, tol: float = 1e-9) -> list[LValueRecord]:
+    """L(1,chi) records (see `_records`) for every primitive character
+    mod q, in enumeration order; none when q = 2 mod 4."""
+    sp = _spectrum(q, tol)
+    return [] if sp is None else _records(q, *sp[1:])
 
 
 def batch_maxima(q: int, tol: float = 1e-9) -> tuple[list[tuple[LValueRecord, bool]], int]:
@@ -237,8 +236,9 @@ def batch_maxima(q: int, tol: float = 1e-9) -> tuple[list[tuple[LValueRecord, bo
 
     Returns ([(record, ambiguous) per parity that occurs], primitive
     character count).  The argmax is the smallest index whose `np.abs`
-    midpoint lies within twice the |L| radius of the largest; its record
-    is bit-identical to the `l_values` one.  It is ambiguous when another
+    midpoint lies within twice the |L| radius of the largest; both
+    parities' argmax records come from one `_records` call, so each is
+    the `l_values` record of its character.  It is ambiguous when another
     such candidate is not its conjugate (a(n) is real, so chi and its
     conjugate have the same |L|).
 
@@ -253,27 +253,23 @@ def batch_maxima(q: int, tol: float = 1e-9) -> tuple[list[tuple[LValueRecord, bo
     the 3 eps |L| slack.  So the record's upper end bounds every excess of
     the parity.
     """
-    if q < 3:
-        raise ValueError(f"batch_maxima requires q >= 3, got {q}")
     sp = _spectrum(q, tol)
     if sp is None:
         return [], 0
-    g, spec, env, index, prim, odd, log3 = sp
+    g, spec, env, index, odd, log3 = sp
     abs_mid = np.abs(spec)
-    out = []
-    for parity, sel in (("even", prim & ~odd), ("odd", prim & odd)):
+    argmax, ambiguous = [], []
+    for sel in (~odd, odd):
         idx = np.flatnonzero(sel)
         if idx.size == 0:
             continue
         mids = abs_mid[idx]
         top = float(mids.max())
         cands = idx[mids >= top - 2.0 * (2.0 * env + 2.0 * _EPS * top)]
-        re, im = float(spec.real[cands[0]]), float(spec.imag[cands[0]])
-        a = ComplexBall(Ball(re, env), Ball(im, env)).abs()
-        e = a - log3
         best = int(index[cands[0]])      # positions and indices rise together
-        rec = LValueRecord(q, best, parity, re, im, env, a.mid, a.rad, e.mid, e.rad)
-        ambiguous = (cands.size > 1 and not set(index[cands].tolist())
-                     <= {best, conjugate_index(g, best)})
-        out.append((rec, ambiguous))
-    return out, int(prim.sum())
+        argmax.append(cands[0])
+        ambiguous.append(cands.size > 1 and not set(index[cands].tolist())
+                         <= {best, conjugate_index(g, best)})
+    at = np.array(argmax, dtype=np.intp)
+    records = _records(q, spec[at], env, index[at], odd[at], log3)
+    return list(zip(records, ambiguous)), int(spec.size)

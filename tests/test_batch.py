@@ -19,8 +19,8 @@ from l1sweep.ball import Ball, ComplexBall
 from l1sweep import batch
 from l1sweep.batch import (batch_maxima, build_coefficients, character_sums,
                            direct_sum, l_values)
-from l1sweep.characters import (chi_value, conjugate_index,
-                                enumerate_characters, primitive_mask)
+from l1sweep.characters import (chi_value, conjugate_index, enumerate_characters,
+                                parity_mask, primitive_mask)
 from l1sweep.special import ToleranceError, digamma, digamma_points
 
 mp.mp.dps = 40
@@ -59,6 +59,22 @@ def test_build_coefficients_tolerance_contract():
     with pytest.raises(ToleranceError) as exc:
         build_coefficients(1000, 1e-22)
     assert exc.value.achieved > 1e-22
+    # no radius is at most NaN, so a NaN tolerance is refused too
+    with pytest.raises(ToleranceError):
+        build_coefficients(9, math.nan)
+
+
+def test_in_place_coefficients_bit_identical_to_array_expression():
+    # the in-place ufuncs keep every bit of the whole-array expression,
+    # which stays here as the reference
+    for q in list(range(3, 1000)) + [98613, 99999]:
+        g = unit_group(q)
+        c = build_coefficients(q, 1e-9 / (2 * g.phi))
+        psi_mid, psi_rad = digamma_points(g.lattice / float(q))
+        mids = -psi_mid / q
+        rads = psi_rad / q * (1.0 + 2.0 ** -40) + 2.0 * batch._EPS * np.abs(mids)
+        assert np.array_equal(c.mids.view(np.int64), mids.view(np.int64)), q
+        assert np.array_equal(c.rads.view(np.int64), rads.view(np.int64)), q
 
 
 def test_transform_indicator_vectors():
@@ -205,9 +221,9 @@ def _bits(rec):
 @pytest.mark.parametrize("q", [3, 5, 9, 12, 249, 996, 4096, 9999])
 def test_l_values_match_scalar_path(q):
     # the per-record Ball arithmetic, kept as the reference for the array pass
-    _, spec, env, index, prim, odd, log3 = batch._spectrum(q, 1e-9)
+    _, spec, env, index, odd, log3 = batch._spectrum(q, 1e-9)
     want = []
-    for i in np.flatnonzero(prim).tolist():
+    for i in range(spec.size):
         value = ComplexBall(Ball(float(spec[i].real), env), Ball(float(spec[i].imag), env))
         a = value.abs()
         e = a - log3
@@ -244,6 +260,32 @@ def test_records_build_balls_only_when_read(monkeypatch):
     rec = recs[0]
     rec.value, rec.abs_value, rec.excess
     assert len(built) == 4
+
+
+def test_batch_maxima_builds_no_ball(monkeypatch):
+    # both argmax records come from the array pass that builds l_values:
+    # beyond the (1/3) log q ball of _spectrum, no Ball or ComplexBall
+    built = []
+    post_init, complex_init = Ball.__post_init__, ComplexBall.__init__
+
+    def counted(ball):
+        built.append(ball)
+        post_init(ball)
+
+    def counted_complex(ball, *args, **kwargs):
+        built.append(ball)
+        complex_init(ball, *args, **kwargs)
+
+    monkeypatch.setattr(Ball, "__post_init__", counted)
+    monkeypatch.setattr(ComplexBall, "__init__", counted_complex)
+    for q in (9, 96, 249, 996, 4096):
+        batch_maxima(q)                 # warm-up
+        built.clear()
+        batch._spectrum(q, 1e-9)
+        per_conductor = len(built)
+        built.clear()
+        maxima, _ = batch_maxima(q)
+        assert len(maxima) == 2 and len(built) == per_conductor, q
 
 
 def _character_sums_reference(g, us, unit_values):
@@ -283,8 +325,13 @@ def test_lattice_coefficients_bit_identical_to_ascending_scatter():
 
 
 def test_l_values_rejects_small_q():
-    with pytest.raises(ValueError):
-        l_values(2)
+    for q in (-1, 0, 1, 2):
+        with pytest.raises(ValueError):
+            l_values(q)
+        with pytest.raises(ValueError):
+            batch_maxima(q)
+        with pytest.raises(ValueError):
+            build_coefficients(q, 1e-9)
 
 
 def test_records_only_for_primitive_characters():
@@ -366,7 +413,9 @@ def test_conjugation_symmetry():
 def test_batch_maxima_agree_with_records():
     # each parity's maximum is the l_values record of its argmax, float
     # for float, and no other record's excess is separably larger
-    for q in (9, 13, 45, 96, 100, 249, 999):
+    # 249 folds 3 || q, 100 and 108 fold 4 || q, 996 and 1020 fold both,
+    # and 96 and 4096 have 8 | q
+    for q in (9, 13, 45, 96, 100, 108, 249, 996, 999, 1020, 4096, 9999):
         maxima, n_prim = batch_maxima(q)
         recs = {r.index: r for r in l_values(q)}
         assert n_prim == len(recs)
@@ -416,14 +465,21 @@ def test_fold_keeps_every_primitive_character():
 
 def test_folded_sums_agree_with_the_unfolded_transform():
     # each part of each folded output lies within both envelopes of the
-    # unfolded character sum at its enumeration index
+    # unfolded character sum at its enumeration index, and _spectrum keeps
+    # exactly the primitive outputs, bit for bit, with their parities
     for q in range(3, 3001, 3):
         if q % 4 == 2:
             continue
-        g, spec, env, index, prim, odd, _ = batch._spectrum(q, 1e-9)
+        g = unit_group(q)
         c = build_coefficients(q, 1e-9 / (2 * g.phi))
+        shape, values, rads, index = batch.fold(g, c.mids, c.rads)
+        spec, env = character_sums(shape, values, rads)
         full, full_env = character_sums(g.orders, c.mids, c.rads)
-        assert np.array_equal(prim, primitive_mask(g)[index]), q
+        _, kept, kept_env, kept_index, odd, _ = batch._spectrum(q, 1e-9)
+        prim = primitive_mask(g)[index]
+        assert np.array_equal(kept_index, index[prim]) and kept_env == env, q
+        assert np.array_equal(kept.view(np.int64), spec[prim].view(np.int64)), q
+        assert np.array_equal(odd, parity_mask(g)[kept_index]), q
         dev = spec - full[index]
         assert max(np.abs(dev.real).max(), np.abs(dev.imag).max()) <= env + full_env, q
         # the fold transforms at most half the lattice and its envelope
@@ -441,8 +497,9 @@ def test_folded_sums_agree_with_the_unfolded_transform():
 def test_single_point_folds_match_closed_forms(q, want, parity):
     # every axis folds, so the lattice is one 1-d point: L(1, chi) is the
     # signed sum of the coefficients
-    g, spec, env, index, prim, odd, _ = batch._spectrum(q, 1e-9)
-    assert spec.shape == index.shape == (1,) and prim.tolist() == [True]
+    # _spectrum keeps primitive characters only: the one point is primitive
+    g, spec, env, index, odd, _ = batch._spectrum(q, 1e-9)
+    assert spec.shape == index.shape == odd.shape == (1,)
     assert index.tolist() == [g.phi - 1]
     assert ("odd" if odd[0] else "even") == parity
     assert abs(spec[0].real - want) <= env and spec[0].imag == 0.0

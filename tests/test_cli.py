@@ -50,6 +50,8 @@ def test_sweep_subcommand_and_exit_code(tmp_path, capsys):
     ["sweep", "--qmin", "3", "--qmax", "30", "--tol", "0"],  # unattainable tolerance
     ["sweep", "--qmin", "3", "--qmax", "30", "--tol", "0", "--threads", "2"],
     ["sweep", "--qmin", "300003", "--qmax", "300003"],       # phi beyond the digamma floor
+    ["sweep", "--qmin", "3", "--qmax", "30", "--tol", "nan"],  # no radius is <= NaN
+    ["sweep", "--qmin", "3", "--qmax", "30", "--tol", "nan", "--threads", "2"],
 ])
 def test_sweep_bad_input_exits_1(argv, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path / "rows.csv")]) == 1
