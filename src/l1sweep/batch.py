@@ -7,15 +7,20 @@ character at once in O(phi(q) log q).  Before the transform the lattice
 is folded on the order-2 axis of the part 3 (3 || q) and of the part 4
 (4 || q), where only the exponent 1 gives primitive characters: the
 difference of the axis's two halves is transformed instead, so those
-conductors transform a half or a quarter of the lattice, and each output
-keeps its full enumeration index.  numpy's pocketfft supplies
+conductors transform a half or a quarter of the lattice.  a(n) is real,
+so the folded lattice goes through one real-input transform (rfftn),
+which computes only the half spectrum, exponents 0..n//2 on its last axis:
+every other character is the conjugate of one in that half, with the
+conjugate sum and the same |L(1,chi)|.  numpy's pocketfft supplies
 mixed-radix and Bluestein kernels for arbitrary axis lengths; rigor is
 preserved by computing on midpoints and adding a single certified error
 envelope per output (roundoff-growth bound plus the summed input radii,
-the fold's rounding included), validated against exact small-length DFTs
-and the direct per-character sum.  The spectrum then keeps the primitive
-characters only, and one array pass builds every L-value record from it,
-the two argmax records of `batch_maxima` included.
+the fold's rounding included), validated against exact DFTs and the
+direct per-character sum.  The spectrum then keeps the primitive
+characters of the half only, each with its full enumeration index.
+`batch_maxima` searches that half; `l_values` rebuilds the other half by
+exact conjugation, and one array pass builds every L-value record, the
+two argmax records of `batch_maxima` included.
 """
 
 from __future__ import annotations
@@ -70,23 +75,31 @@ def build_coefficients(q: int, tol: float) -> CoefficientVector:
 
 def character_sums(shape: tuple[int, ...], values: np.ndarray,
                    rads: np.ndarray) -> tuple[np.ndarray, float]:
-    """sum_n a(n) chi(n) for every character of a lattice of `shape`.
+    """sum_n a(n) chi(n) over a real lattice of `shape`, for the characters
+    of rfftn's half: exponents 0..n//2 on the last axis (n its length) and
+    every exponent on the others.
 
-    `values` and `rads` are the flattened lattice in C order.  Returns the
-    complex midpoint array (flattened, C order, which is exactly the
-    lexicographic character order) and one envelope radius valid for each
-    output's real and imaginary parts: the FFT roundoff bound on N =
-    values.size points plus the summed input radii.  A float sum of N
-    nonnegative terms, in any order, is at least (1 - (N - 1)u) times the
-    exact sum, so scaling it by 1 + 2Nu (exact in binary) leaves an upper
-    bound after the product's own rounding, however numpy sums.
+    `values` (real) and `rads` are the flattened lattice in C order.  The
+    sum at the conjugate character is the conjugate sum, so the half
+    determines the rest (see `_mirror`).  Returns the complex midpoints
+    conj(rfftn(lattice)), flattened in C order, which is lexicographic
+    character order, and one envelope radius valid for each output's real
+    and imaginary parts: the FFT roundoff bound on N = values.size points
+    plus the summed input radii.  A float sum of N nonnegative terms, in
+    any order, is at least (1 - (N - 1)u) times the exact sum, so scaling
+    it by 1 + 2Nu (exact in binary) leaves an upper bound after the
+    product's own rounding, however numpy sums.
+
+    Real-kernel assumption: the roundoff bound C log2(N) u N max|a| is the
+    one for the complex transform of N points (Higham, Accuracy and
+    Stability of Numerical Algorithms, sec. 24.1), and it is assumed to
+    hold for pocketfft's real-input path too: a real FFT along the last
+    axis (radix 2, 3, 4, 5 and generic passes, or Bluestein for a large
+    prime factor), then complex FFTs along the others.  The exact-DFT
+    tests check it at lengths that reach each of those kernels.
     """
     n = values.size
-    # conj(fftn(conj(lattice))), both conjugates taken in place; a real
-    # entry's conjugate keeps the -0.0 imaginary part a copy would give
-    lattice = values.astype(np.complex128)
-    np.conj(lattice, out=lattice)
-    spectrum = np.fft.fftn(lattice.reshape(shape))
+    spectrum = np.fft.rfftn(values.reshape(shape))
     np.conj(spectrum, out=spectrum)
     max_mag = float(np.max(np.abs(values)))
     envelope = (_FFT_C * math.log2(max(n, 2)) * _U * n * max_mag
@@ -106,23 +119,24 @@ def fold(g: UnitGroupStructure, mids: np.ndarray, rads: np.ndarray):
     at most r0 + r1 + 2u |b|; the factor 1 + 8u covers the three
     roundings of computing that.
 
-    Returns (shape, values, rads, index): the folded lattice's shape, its
-    flattened midpoints and radii, and the full enumeration index of each
-    folded position, which increases along the flattened lattice.  With
-    every axis folded (q = 3, 4, 12) the lattice is one point of shape
-    (1,).
+    Returns (shape, values, rads, exps): the folded lattice's shape, its
+    flattened midpoints and radii, and one exponent vector per axis of g,
+    whose outer product is the folded lattice in C order: [1] on a folded
+    axis, every exponent elsewhere.  With every axis folded (q = 3, 4, 12)
+    the lattice is one point of shape (1,).
     """
     orders = list(g.orders)
     mids, rads = mids.reshape(orders), rads.reshape(orders)
-    index = np.arange(g.phi).reshape(orders)
+    exps = [np.arange(order) for order in orders]
     folded = [i for i, c in enumerate(g.components) if c.order == 2 and c.modulus in (3, 4)]
     for axis in reversed(folded):
         at = (slice(None),) * axis
         b = mids[at + (0,)] - mids[at + (1,)]
         rads = (rads[at + (0,)] + rads[at + (1,)] + 2.0 * _U * np.abs(b)) * (1.0 + 8.0 * _U)
-        mids, index = b, index[at + (1,)]
+        mids = b
+        exps[axis] = exps[axis][1:]
         del orders[axis]
-    return tuple(orders) or (1,), mids.ravel(), rads.ravel(), index.ravel()
+    return tuple(orders) or (1,), mids.ravel(), rads.ravel(), exps
 
 
 def direct_sum(g: UnitGroupStructure, coeffs: CoefficientVector,
@@ -184,23 +198,106 @@ class LValueRecord(NamedTuple):
         return Ball(self.excess_mid, self.excess_rad)
 
 
-def _spectrum(q: int, tol: float):
-    """The unit group, the primitive characters' sums of the folded lattice
-    (see `fold`) and their envelope, each sum's enumeration index and
-    parity (True for odd), and (1/3) log q of one conductor.  None when q
-    has no primitive character (q = 2 mod 4), in which case neither the
-    unit group, the coefficients nor the transform are built."""
+def _half(exps: list[np.ndarray]) -> list[np.ndarray]:
+    """The exponent vectors of rfftn's half of the folded lattice `exps`
+    (see `fold`): the last transformed axis, the last one holding more
+    than one exponent (a folded axis holds only 1), cut to 0..n//2."""
+    exps = list(exps)
+    for axis in reversed(range(len(exps))):
+        if exps[axis].size > 1:
+            exps[axis] = exps[axis][:exps[axis].size // 2 + 1]
+            break
+    return exps
+
+
+class Spectrum(NamedTuple):
+    """The primitive characters of one conductor in rfftn's half of its
+    folded lattice (see `fold` and `character_sums`)."""
+
+    g: UnitGroupStructure
+    shape: tuple[int, ...]   # the folded lattice
+    prim: np.ndarray         # over the half, C order: True where primitive
+    spec: np.ndarray         # the primitive outputs' sums, C order
+    env: float               # radius of both parts of every sum
+    index: np.ndarray        # their enumeration indices, increasing
+    odd: np.ndarray          # their parities, True for odd
+    log3: Ball               # (1/3) log q
+
+
+def _negation(rest: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """The index that reads a lattice of shape `rest` at -r for each
+    position r: every exponent negated."""
+    return np.ix_(*(-np.arange(m) % m for m in rest))
+
+
+def _exact_pairs(shape: tuple[int, ...], spec: np.ndarray) -> None:
+    """Make each conjugate pair that rfftn's half holds exact, in place.
+
+    The half holds both chi and its conjugate only on the last axis's
+    self-conjugate exponents, 0 and n/2, and only with another axis to
+    negate.  rfftn computes the two sums apart, not always conjugate to
+    the bit, so the member with the larger index takes the conjugate of
+    the other's sum, which lies within the same envelope of its true value.
+    """
+    rest, n = shape[:-1], shape[-1]
+    if not rest:
+        return
+    grid = spec.reshape(rest + (n // 2 + 1,))
+    neg = _negation(rest)
+    flat = np.arange(math.prod(rest)).reshape(rest)
+    later = flat > flat[neg]
+    for col in (0, n // 2) if n % 2 == 0 else (0,):
+        sums = grid[..., col]
+        sums[later] = np.conj(sums[neg][later])
+
+
+def _mirror(shape: tuple[int, ...], prim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each primitive character of the folded lattice of `shape`
+    finds its sum, given the primitive outputs `prim` of rfftn's half.
+
+    Returns (at, conj): for every primitive character, in enumeration
+    order, the position of its sum among the primitive outputs, and whether
+    the sum is that output's conjugate.  The character at (r, j), with
+    j > n//2 on the last axis, is the conjugate of (-r, n - j) in the half.
+    """
+    rest, n = shape[:-1], shape[-1]
+    h = n // 2 + 1
+    at = np.cumsum(prim) - 1
+    at[~prim] = -1
+    at = at.reshape(rest + (h,))
+    mirrored = at[_negation(rest)][..., n - h:0:-1]
+    at = np.concatenate([at, mirrored], axis=-1)
+    conj = np.zeros(at.shape, dtype=bool)
+    conj[..., h:] = True
+    keep = at >= 0
+    return at[keep], conj[keep]
+
+
+def _take(spec: np.ndarray, at: np.ndarray, conj: np.ndarray) -> np.ndarray:
+    """spec[at], conjugated exactly (the imaginary part negated) where conj."""
+    out = spec[at]
+    np.negative(out.imag, out=out.imag, where=conj)
+    return out
+
+
+def _spectrum(q: int, tol: float) -> Spectrum | None:
+    """The `Spectrum` of one conductor; None when q has no primitive
+    character (q = 2 mod 4), in which case neither the unit group, the
+    coefficients nor the transform are built."""
     if q < 3:
         raise ValueError(f"conductor q must be >= 3, got {q}")
     if q % 4 == 2:
         return None
     coeffs = build_coefficients(q, tol / (2.0 * euler_phi(q)))
     g = coeffs.g
-    shape, values, rads, index = fold(g, coeffs.mids, coeffs.rads)
+    shape, values, rads, exps = fold(g, coeffs.mids, coeffs.rads)
     spec, env = character_sums(shape, values, rads)
-    prim = primitive_mask(g)[index]
-    index = index[prim]
-    return g, spec[prim], env, index, parity_mask(g)[index], Ball.exact(q).log() / 3
+    _exact_pairs(shape, spec)
+    exps = _half(exps)
+    prim = primitive_mask(g, exps)
+    index = np.ravel_multi_index(np.ix_(*exps), g.orders).ravel()[prim]
+    return Spectrum(g, shape, prim, spec[prim], env, index, parity_mask(g, exps)[prim],
+                    Ball.exact(q).log() / 3)
 
 
 def _records(q: int, spec: np.ndarray, env: float, index: np.ndarray,
@@ -226,21 +323,50 @@ def _records(q: int, spec: np.ndarray, env: float, index: np.ndarray,
 
 def l_values(q: int, tol: float = 1e-9) -> list[LValueRecord]:
     """L(1,chi) records (see `_records`) for every primitive character
-    mod q, in enumeration order; none when q = 2 mod 4."""
+    mod q, in enumeration order; none when q = 2 mod 4.  A character
+    outside rfftn's half takes the exact conjugate of its conjugate's sum."""
     sp = _spectrum(q, tol)
-    return [] if sp is None else _records(q, *sp[1:])
+    if sp is None:
+        return []
+    at, conj = _mirror(sp.shape, sp.prim)
+    index = sp.index[at]
+    index[conj] = conjugate_index(sp.g, index[conj])
+    spec, odd, env, log3 = _take(sp.spec, at, conj), sp.odd[at], sp.env, sp.log3
+    del sp, at, conj        # the record pass then holds one copy of the sums
+    return _records(q, spec, env, index, odd, log3)
+
+
+def l_value(q: int, index: int, tol: float = 1e-9) -> LValueRecord | None:
+    """The `l_values` record of the character with enumeration index
+    `index`, built alone; None when q = 2 mod 4.  Raises ValueError when
+    no primitive character mod q has that index."""
+    sp = _spectrum(q, tol)
+    if sp is None:
+        return None
+    if 0 <= index < sp.g.phi:
+        for i, conj in ((index, False), (conjugate_index(sp.g, index), True)):
+            at = np.searchsorted(sp.index, i)
+            if at < sp.index.size and sp.index[at] == i:
+                at = np.array([at])
+                return _records(q, _take(sp.spec, at, np.array([conj])), sp.env,
+                                np.array([index]), sp.odd[at], sp.log3)[0]
+    raise ValueError(f"no primitive character with index {index} mod {q}")
 
 
 def batch_maxima(q: int, tol: float = 1e-9) -> tuple[list[tuple[LValueRecord, bool]], int]:
     """Per-parity maxima of |L(1,chi)| - (log q)/3 over primitive chi.
 
     Returns ([(record, ambiguous) per parity that occurs], primitive
-    character count).  The argmax is the smallest index whose `np.abs`
-    midpoint lies within twice the |L| radius of the largest; both
-    parities' argmax records come from one `_records` call, so each is
-    the `l_values` record of its character.  It is ambiguous when another
-    such candidate is not its conjugate (a(n) is real, so chi and its
-    conjugate have the same |L|).
+    character count).  The search runs over rfftn's half: a(n) is real, so
+    chi and its conjugate have conjugate sums and the same |L|, and the
+    half holds at least one of each pair.  The candidates are the
+    characters whose `np.abs` midpoint lies within twice the |L| radius of
+    the largest; the argmax is the smallest index among them and their
+    conjugates, and when that index is a conjugate's, its record is built
+    from the conjugated sum, as `l_values` builds it.  Both parities'
+    argmax records come from one `_records` call, so each is the
+    `l_values` record of its character.  It is ambiguous when another
+    candidate is not in the argmax's conjugate pair.
 
     A pass on this record covers every chi of the parity.  Each part of
     chi's computed midpoint s lies within env of L(1,chi), and env is the
@@ -256,20 +382,28 @@ def batch_maxima(q: int, tol: float = 1e-9) -> tuple[list[tuple[LValueRecord, bo
     sp = _spectrum(q, tol)
     if sp is None:
         return [], 0
-    g, spec, env, index, odd, log3 = sp
-    abs_mid = np.abs(spec)
-    argmax, ambiguous = [], []
-    for sel in (~odd, odd):
+    abs_mid = np.abs(sp.spec)
+    at, conj, best, ambiguous = [], [], [], []
+    for sel in (~sp.odd, sp.odd):
         idx = np.flatnonzero(sel)
         if idx.size == 0:
             continue
         mids = abs_mid[idx]
         top = float(mids.max())
-        cands = idx[mids >= top - 2.0 * (2.0 * env + 2.0 * _EPS * top)]
-        best = int(index[cands[0]])      # positions and indices rise together
-        argmax.append(cands[0])
-        ambiguous.append(cands.size > 1 and not set(index[cands].tolist())
-                         <= {best, conjugate_index(g, best)})
-    at = np.array(argmax, dtype=np.intp)
-    records = _records(q, spec[at], env, index[at], odd[at], log3)
-    return list(zip(records, ambiguous)), int(spec.size)
+        cands = idx[mids >= top - 2.0 * (2.0 * sp.env + 2.0 * _EPS * top)]
+        own = sp.index[cands].tolist()
+        mirrored = [conjugate_index(sp.g, i) for i in own]
+        c = min(range(len(own)), key=lambda k: min(own[k], mirrored[k]))
+        pair = {own[c], mirrored[c]}
+        at.append(cands[c])
+        conj.append(mirrored[c] < own[c])
+        best.append(min(pair))
+        ambiguous.append(not set(own) <= pair)
+    at = np.array(at, dtype=np.intp)
+    records = _records(q, _take(sp.spec, at, np.array(conj)), sp.env, np.array(best),
+                       sp.odd[at], sp.log3)
+    # each primitive output at exponents 1..n - n//2 - 1 of the last axis
+    # has its conjugate outside the half
+    n = sp.shape[-1]
+    prim = sp.prim.reshape(sp.shape[:-1] + (n // 2 + 1,))
+    return list(zip(records, ambiguous)), int(sp.spec.size + prim[..., 1:n - n // 2].sum())

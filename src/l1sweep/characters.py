@@ -171,8 +171,14 @@ def gauss_sum(chi: Character) -> ComplexBall:
 
 def _over_lattice(op: np.ufunc, axis_masks: list[np.ndarray]) -> np.ndarray:
     """op combined over the outer product of one boolean vector per axis,
-    flattened in enumeration (C) order."""
+    flattened in C order."""
     return reduce(op.outer, axis_masks).ravel()
+
+
+def _exponents(g: UnitGroupStructure, exps) -> list[np.ndarray]:
+    """One exponent vector per axis of g: `exps`, or by default every
+    exponent of each axis, whose outer product is the enumeration order."""
+    return [np.arange(c.order) for c in g.components] if exps is None else list(exps)
 
 
 def _is_five_axis(c: Component) -> bool:
@@ -180,21 +186,26 @@ def _is_five_axis(c: Component) -> bool:
     return c.prime == 2 and c.generator == 5
 
 
-def parity_mask(g: UnitGroupStructure) -> np.ndarray:
-    """Boolean array over enumeration order: True where chi is odd.
+def parity_mask(g: UnitGroupStructure, exps=None) -> np.ndarray:
+    """Boolean array over the sub-lattice whose axis i holds the exponents
+    exps[i] (default: every character, in enumeration order), flattened in
+    C order: True where chi is odd.
 
     chi(-1) = (-1)^(sum_i k_i) over every axis except <5>.  On each of
     those axes -1 = g_i^(order_i/2), so axis i contributes
     e(k_i/2) = (-1)^k_i; on the <5> axis of a part 2^e (e >= 3) -1 has
-    exponent 0.
+    exponent 0.  An axis held at the single exponent 1 (a folded order-2
+    axis) flips the parity of the rest.
     """
     return _over_lattice(np.logical_xor, [
-        np.zeros(c.order, dtype=bool) if _is_five_axis(c) else np.arange(c.order) % 2 == 1
-        for c in g.components])
+        np.zeros(k.size, dtype=bool) if _is_five_axis(c) else k % 2 == 1
+        for c, k in zip(g.components, _exponents(g, exps))])
 
 
-def primitive_mask(g: UnitGroupStructure) -> np.ndarray:
-    """Boolean array over enumeration order: True where chi is primitive.
+def primitive_mask(g: UnitGroupStructure, exps=None) -> np.ndarray:
+    """Boolean array over the sub-lattice whose axis i holds the exponents
+    exps[i] (default: every character, in enumeration order), flattened in
+    C order: True where chi is primitive.
 
     chi is primitive iff each local factor is, so the mask is the and of
     one predicate per axis, on its exponent k:
@@ -205,16 +216,18 @@ def primitive_mask(g: UnitGroupStructure) -> np.ndarray:
     but the <-1> one is k % p != 0, since k < p - 1 when e = 1 and k < 2
     on the part 4.
     """
+    exps = _exponents(g, exps)
     if g.q % 4 == 2:
-        return np.zeros(g.phi, dtype=bool)
+        return np.zeros(math.prod(k.size for k in exps), dtype=bool)
     return _over_lattice(np.logical_and, [
-        np.ones(c.order, dtype=bool) if c.prime == 2 and c.modulus > 4 and not _is_five_axis(c)
-        else np.arange(c.order) % c.prime != 0
-        for c in g.components])
+        np.ones(k.size, dtype=bool) if c.prime == 2 and c.modulus > 4 and not _is_five_axis(c)
+        else k % c.prime != 0
+        for c, k in zip(g.components, exps)])
 
 
-def conjugate_index(g: UnitGroupStructure, index: int) -> int:
-    """Enumeration index of the complex conjugate: every exponent negated."""
+def conjugate_index(g: UnitGroupStructure, index):
+    """Enumeration index of the complex conjugate: every exponent negated.
+    `index` is an int or an integer array, elementwise."""
     conj, stride = 0, 1
     for order in reversed(g.orders):
         index, e = divmod(index, order)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .batch import l_values
+from .batch import l_value, l_values
 from .bounds import check_theorem
 from .characters import count_primitive
 from .lemmas import run_all
@@ -71,16 +71,14 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_lvalue(args) -> int:
-    records = l_values(args.q)
+    if args.index is None:
+        records = l_values(args.q)
+    else:                   # raises ValueError unless a primitive chi has it
+        record = l_value(args.q, args.index)
+        records = [] if record is None else [record]
     if not records:
         print(f"q={args.q}: no primitive characters")
         return 0
-    if args.index is not None:
-        records = [r for r in records if r.index == args.index]
-        if not records:
-            print(f"error: no primitive character with index {args.index} mod {args.q}",
-                  file=sys.stderr)
-            return 1
     code = 0
     for r in records:
         rep = check_theorem(r)

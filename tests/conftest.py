@@ -1,7 +1,10 @@
-"""Shared fixtures and the acceptance-criteria summary hook."""
+"""Shared fixtures, the acceptance-criteria summary hook, and the full
+spectrum that a real transform's half determines."""
 
+import numpy as np
 import pytest
 
+from l1sweep import batch
 from l1sweep.lemmas import run_all
 
 CRITERION_LINES: list[str] = []
@@ -23,3 +26,10 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 def lemma_results():
     """The lemma validation suite at the criterion grid, run once per session."""
     return run_all(grid_n=100)
+
+
+def full_spectrum(shape, half):
+    """Every character sum of a real lattice of `shape`, in enumeration
+    order, from `character_sums`' half by exact conjugation."""
+    at, conj = batch._mirror(shape, np.ones(half.size, dtype=bool))
+    return batch._take(half, at, conj)

@@ -19,7 +19,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from conftest import record_criterion
+from conftest import full_spectrum, record_criterion
 from l1sweep.arith import unit_group, units
 from l1sweep.batch import (batch_maxima, build_coefficients, character_sums,
                            direct_sum, l_values)
@@ -151,7 +151,8 @@ def test_criterion_5_dft_equals_direct_and_reference():
     for q in range(3, 201):
         g = unit_group(q)
         coeffs = build_coefficients(q, 1e-9 / (2 * g.phi))
-        spec, env = character_sums(g.orders, coeffs.mids, coeffs.rads)
+        half, env = character_sums(g.orders, coeffs.mids, coeffs.rads)
+        spec = full_spectrum(g.orders, half)
         for i, chi in enumerate(enumerate_characters(g)):
             d = direct_sum(g, coeffs, chi)
             ok = ok and abs(spec[i].real - d.re.mid) <= env + d.re.rad
@@ -162,7 +163,8 @@ def test_criterion_5_dft_equals_direct_and_reference():
     for q in (16, 27, 97):
         g = unit_group(q)
         coeffs = build_coefficients(q, 1e-12)
-        spec, env = character_sums(g.orders, coeffs.mids, coeffs.rads)
+        half, env = character_sums(g.orders, coeffs.mids, coeffs.rads)
+        spec = full_spectrum(g.orders, half)
         us = [int(n) for n in units(q)]
         psi = {n: mp.digamma(mp.mpf(n) / q) for n in us}
         L = 1
@@ -190,8 +192,14 @@ def test_criterion_6_gauss_sum_moduli_to_300():
         us = g.lattice
         from l1sweep.characters import roots_of_unity
         c, s = roots_of_unity(q)
-        vals = c[us] + 1j * s[us]
-        spec, env = character_sums(g.orders, vals, np.full(len(us), ROOT_RAD))
+        # the transform of the complex e(n/q) is that of its real part plus
+        # i times that of its imaginary part, each part's error at most
+        # ROOT_RAD; the sum's own rounding is inside the 4 eps slack
+        rads = np.full(len(us), ROOT_RAD)
+        re, env_re = character_sums(g.orders, c[us], rads)
+        im, env_im = character_sums(g.orders, s[us], rads)
+        spec = full_spectrum(g.orders, re) + 1j * full_spectrum(g.orders, im)
+        env = env_re + env_im
         moduli = np.abs(spec[prim])
         rad = 2 * env + 4 * 2.0 ** -52 * float(moduli.max() + 1.0)
         dev = float(np.max(np.abs(moduli - math.sqrt(q))))

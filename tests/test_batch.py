@@ -3,7 +3,8 @@
 Closed-form oracles: pi/(3 sqrt 3) for the quadratic character mod 3
 (reflection formula), pi/4 for mod 4 (Leibniz), and the class-number
 value (2/sqrt 5) log((1+sqrt 5)/2) for the even character mod 5.  The
-transform is further checked against an exact mpmath DFT on mixed sizes.
+real-input transform is further checked against an exact mpmath DFT at
+lengths that reach each of pocketfft's real and complex kernels.
 """
 
 import math
@@ -13,14 +14,15 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from conftest import full_spectrum
 from l1sweep import arith
 from l1sweep.arith import unit_group, units
 from l1sweep.ball import Ball, ComplexBall
 from l1sweep import batch
 from l1sweep.batch import (batch_maxima, build_coefficients, character_sums,
-                           direct_sum, l_values)
-from l1sweep.characters import (chi_value, conjugate_index, enumerate_characters,
-                                parity_mask, primitive_mask)
+                           direct_sum, l_value, l_values)
+from l1sweep.characters import (chi_value, conjugate_index, count_primitive,
+                                enumerate_characters, parity_mask, primitive_mask)
 from l1sweep.special import ToleranceError, digamma, digamma_points
 
 mp.mp.dps = 40
@@ -82,16 +84,17 @@ def test_transform_indicator_vectors():
     us = g.lattice
     n_units = len(us)
     # indicator of n = 1: every character sum is exactly 1
-    vals = np.zeros(n_units, dtype=np.complex128)
+    vals = np.zeros(n_units)
     vals[0] = 1.0  # the lattice starts at the zero exponent, n=1
     spec, env = character_sums(g.orders, vals, np.zeros(n_units))
     assert np.allclose(spec, 1.0, atol=1e-12)
     # indicator of n0: sums enumerate chi(n0)
     chars = enumerate_characters(g)
     for pos, n0 in ((3, int(us[3])), (7, int(us[7]))):
-        vals = np.zeros(n_units, dtype=np.complex128)
+        vals = np.zeros(n_units)
         vals[pos] = 1.0
-        spec, env = character_sums(g.orders, vals, np.zeros(n_units))
+        half, env = character_sums(g.orders, vals, np.zeros(n_units))
+        spec = full_spectrum(g.orders, half)
         for i, chi in enumerate(chars):
             want = chi_value(chi, n0)
             assert abs(spec[i].real - want.re.mid) <= env + want.re.rad + 1e-13
@@ -220,14 +223,20 @@ def _bits(rec):
 
 @pytest.mark.parametrize("q", [3, 5, 9, 12, 249, 996, 4096, 9999])
 def test_l_values_match_scalar_path(q):
-    # the per-record Ball arithmetic, kept as the reference for the array pass
-    _, spec, env, index, odd, log3 = batch._spectrum(q, 1e-9)
+    # the per-record Ball arithmetic, kept as the reference for the array
+    # pass; a character outside rfftn's half takes its conjugate's sum,
+    # conjugated
+    sp = batch._spectrum(q, 1e-9)
+    env = sp.env
     want = []
-    for i in range(spec.size):
-        value = ComplexBall(Ball(float(spec[i].real), env), Ball(float(spec[i].imag), env))
+    for at, conj in zip(*batch._mirror(sp.shape, sp.prim)):
+        s, i = complex(sp.spec[at]), int(sp.index[at])
+        if conj:
+            s, i = s.conjugate(), conjugate_index(sp.g, i)
+        value = ComplexBall(Ball(s.real, env), Ball(s.imag, env))
         a = value.abs()
-        e = a - log3
-        want.append(batch.LValueRecord(q, int(index[i]), "odd" if odd[i] else "even",
+        e = a - sp.log3
+        want.append(batch.LValueRecord(q, i, "odd" if sp.odd[at] else "even",
                                        value.re.mid, value.im.mid, env, a.mid, a.rad,
                                        e.mid, e.rad))
     got = l_values(q)
@@ -289,23 +298,22 @@ def test_batch_maxima_builds_no_ball(monkeypatch):
 
 
 def _character_sums_reference(g, us, unit_values):
-    """The transform as conj(fftn(conj(lattice))), with both conjugates
-    taken as copies."""
-    lattice = np.zeros(g.phi, dtype=np.complex128)
+    """The transform as conj(rfftn(lattice)) on a real lattice scattered
+    from the units, with the conjugate taken as a copy."""
+    lattice = np.zeros(g.phi)
     lattice[g.index[us]] = unit_values
-    return np.conj(np.fft.fftn(np.conj(lattice.reshape(g.orders)))).ravel()
+    return np.conj(np.fft.rfftn(lattice.reshape(g.orders))).ravel()
 
 
 def test_character_sums_bit_identical_to_conjugate_copies():
-    # the in-place conjugates must keep every bit, the sign of each zero
-    # included: conjugating a real entry gives it a -0.0 imaginary part,
-    # and a +0.0 there changes the sign of some zero outputs
+    # the conjugate taken in place keeps every bit of a copy's, the sign
+    # of each zero included
     rng = np.random.default_rng(5)
     for q in (21, 59, 360):
         g = unit_group(q)
         us = g.lattice
-        vals = rng.standard_normal(len(us)) + 1j * rng.standard_normal(len(us))
-        vals[::3] = vals[::3].real          # some +0.0 imaginary parts
+        vals = rng.standard_normal(len(us))
+        vals[::3] = 0.0                     # some zero inputs
         spec, _ = character_sums(g.orders, vals, np.zeros(len(us)))
         want = _character_sums_reference(g, us, vals)
         assert np.array_equal(spec.view(np.int64), want.view(np.int64)), q
@@ -346,56 +354,94 @@ def test_dft_direct_equivalence_spot():
     for q in (7, 16, 24, 45, 59, 60):
         g = unit_group(q)
         c = build_coefficients(q, 1e-9 / (2 * g.phi))
-        spec, env = character_sums(g.orders, c.mids, c.rads)
+        half, env = character_sums(g.orders, c.mids, c.rads)
+        spec = full_spectrum(g.orders, half)
         for i, chi in enumerate(enumerate_characters(g)):
             d = direct_sum(g, c, chi)
             assert abs(spec[i].real - d.re.mid) <= env + d.re.rad, (q, i)
             assert abs(spec[i].imag - d.im.mid) <= env + d.im.rad, (q, i)
 
 
+def _exact_half_dft(shape, values):
+    """sum_k x[k] e(j.k/n) at rfftn's half of a real lattice of `shape`, in
+    40-digit mpmath: one exact 1-d DFT per axis, the last axis first and
+    cut to its exponents 0..n//2."""
+    x = np.array([mp.mpf(float(v)) for v in values], dtype=object).reshape(shape)
+    for axis in reversed(range(len(shape))):
+        n = shape[axis]
+        rows = n // 2 + 1 if axis == len(shape) - 1 else n
+        roots = np.array([mp.expjpi(mp.mpf(2 * m) / n) for m in range(n)], dtype=object)
+        w = roots[np.outer(np.arange(rows), np.arange(n)) % n]
+        x = np.moveaxis(np.tensordot(w, x, axes=([1], [axis])), 0, axis)
+    return x.ravel()
+
+
+# Lattice shapes whose axis lengths reach each of pocketfft's kernels on
+# the rfftn path.  The real transform along the last axis factors its
+# length into radix-4, 2, 3 and 5 passes and a generic pass for any other
+# prime, and the complex passes along the other axes do the same.  A
+# length of at least 50 whose largest prime factor p has p^2 > length
+# goes to Bluestein when its cost model says so: 358 = 2 * 179 (real)
+# and 166 = 2 * 83 (complex) are the smallest such p - 1.
+KERNEL_SHAPES = [
+    (16,),          # real radix 4 (q = 17)
+    (18,),          # real radix 2 and 3 (q = 19, 27)
+    (20,),          # real radix 4 and 5 (q = 25)
+    (42,),          # real radix 2, 3 and generic 7 (q = 43, 49)
+    (2, 8),         # complex radix 2, real radix 4 and 2 (q = 32)
+    (6, 22),        # complex radix 2 and 3, real generic 11 (q = 7 * 23)
+    (358,),         # real Bluestein (q = 359, 3 * 359 folded)
+    (166, 6),       # complex Bluestein, real radix 2 and 3
+    (2, 358),       # complex radix 2, real Bluestein (q = 4 * 359)
+]
+
+
 def test_transform_against_exact_dft_reference():
-    """FFT midpoints and envelope vs an exact high-precision DFT at mixed
-    lengths (prime, prime power, and Bluestein-exercising sizes)."""
+    """FFT midpoints and envelope vs an exact high-precision DFT on real
+    inputs, at the lattices of q = 16, 27, 59, 97 and at lengths that reach
+    every real and complex kernel of the rfftn path."""
     rng = np.random.default_rng(17)
-    for q in (16, 27, 59, 97):
-        g = unit_group(q)
-        us = g.lattice
-        vals = rng.standard_normal(len(us)) + 1j * rng.standard_normal(len(us))
-        spec, env = character_sums(g.orders, vals, np.zeros(len(us)))
-        chars = enumerate_characters(g)
-        L = 1
-        for comp in g.components:
-            L = L * comp.order // math.gcd(L, comp.order)
-        zeta = [mp.e ** (2j * mp.pi * k / L) for k in range(L)]
-        for i, chi in enumerate(chars):
-            acc = mp.mpc(0)
-            for n, v in zip(us, vals):
-                acc += mp.mpc(v) * zeta[chi.phase_num(int(n))]
-            err = abs(complex(acc) - complex(spec[i]))
-            assert err <= env, (q, i, err, env)
+    for shape in [unit_group(q).orders for q in (16, 27, 59, 97)] + KERNEL_SHAPES:
+        vals = rng.standard_normal(math.prod(shape))
+        spec, env = character_sums(shape, vals, np.zeros(vals.size))
+        exact = _exact_half_dft(shape, vals)
+        assert spec.size == exact.size, shape
+        for s, e in zip(spec, exact):
+            assert abs(s.real - float(e.real)) <= env, shape
+            assert abs(s.imag - float(e.imag)) <= env, shape
 
 
 def test_fft_envelope_has_headroom_on_small_sizes():
-    # the envelope should dominate observed FFT error by a wide margin
+    # the envelope should dominate observed FFT error by a wide margin, on
+    # the small unit lattices and on every kernel's lengths
     rng = np.random.default_rng(23)
     worst_ratio = 0.0
-    for q in (5, 7, 11, 13, 23, 29, 37, 47, 53, 61):
-        g = unit_group(q)
-        us = g.lattice
-        vals = rng.standard_normal(len(us)) + 1j * rng.standard_normal(len(us))
-        spec, env = character_sums(g.orders, vals, np.zeros(len(us)))
-        chars = enumerate_characters(g)
-        cos_sin = None
-        for i, chi in enumerate(chars):
-            acc = mp.mpc(0)
-            for n, v in zip(us, vals):
-                L = 1
-                for comp in g.components:
-                    L = L * comp.order // math.gcd(L, comp.order)
-                acc += mp.mpc(v) * mp.e ** (2j * mp.pi * chi.phase_num(int(n)) / L)
-            err = abs(complex(acc) - complex(spec[i]))
-            worst_ratio = max(worst_ratio, err / env)
+    for shape in [unit_group(q).orders for q in (5, 7, 11, 13, 23, 29, 37, 47, 53, 61)] \
+            + KERNEL_SHAPES:
+        vals = rng.standard_normal(math.prod(shape))
+        spec, env = character_sums(shape, vals, np.zeros(vals.size))
+        for s, e in zip(spec, _exact_half_dft(shape, vals)):
+            worst_ratio = max(worst_ratio, abs(complex(e) - s) / env)
     assert worst_ratio < 0.5, worst_ratio
+
+
+def test_l_values_conjugate_pairs_are_exact():
+    # each record's conjugate record has the same real part and the
+    # negated imaginary part, to the bit, whether it was rebuilt outside
+    # rfftn's half or both lie in it (on the last axis's exponents 0 and
+    # n/2); 45 and 63 have two transformed axes, 4096 the <-1> axis
+    for q in list(range(3, 3001, 3)) + [45, 63, 4096, 9999]:
+        g = unit_group(q)
+        recs = l_values(q)
+        by_index = {r.index: r for r in recs}
+        conj = conjugate_index(g, np.array([r.index for r in recs]))
+        for r, j in zip(recs, conj.tolist()):
+            if j == r.index:                # a real character
+                continue
+            other = by_index[j]
+            assert other.re.hex() == r.re.hex(), (q, r.index)
+            assert other.im.hex() == (-r.im).hex(), (q, r.index)
+            assert other.abs_mid == r.abs_mid and other.abs_rad == r.abs_rad, (q, r.index)
 
 
 def test_conjugation_symmetry():
@@ -414,8 +460,9 @@ def test_batch_maxima_agree_with_records():
     # each parity's maximum is the l_values record of its argmax, float
     # for float, and no other record's excess is separably larger
     # 249 folds 3 || q, 100 and 108 fold 4 || q, 996 and 1020 fold both,
-    # and 96 and 4096 have 8 | q
-    for q in (9, 13, 45, 96, 100, 108, 249, 996, 999, 1020, 4096, 9999):
+    # and 96 and 4096 have 8 | q; at 45 and 63 an argmax is a conjugate of
+    # the half's candidate, built from its conjugated sum
+    for q in (9, 13, 45, 63, 96, 100, 108, 249, 996, 999, 1020, 4096, 9999):
         maxima, n_prim = batch_maxima(q)
         recs = {r.index: r for r in l_values(q)}
         assert n_prim == len(recs)
@@ -445,6 +492,12 @@ def test_batch_maxima_ambiguity_skips_conjugate_pairs():
     recs = {r.index: r for r in l_values(96)}
     assert all(recs[i].excess.overlaps(rec.excess) for i in (7, 11))
     assert ambiguous
+    # q=65 odd: rfftn's half holds the candidates 29 and 38, whose
+    # conjugates are 31 and 22; the argmax is the smallest of the four, the
+    # conjugate of the second candidate, with its conjugated sum
+    rec, ambiguous = maximum(65, "odd")
+    assert (rec.index, conjugate_index(unit_group(65), rec.index)) == (22, 38) and ambiguous
+    assert _bits(rec) == _bits(next(r for r in l_values(65) if r.index == 22))
 
 
 def test_fold_keeps_every_primitive_character():
@@ -455,7 +508,8 @@ def test_fold_keeps_every_primitive_character():
         if q % 4 == 2:
             continue
         g = unit_group(q)
-        shape, values, _, index = batch.fold(g, np.zeros(g.phi), np.zeros(g.phi))
+        shape, values, _, exps = batch.fold(g, np.zeros(g.phi), np.zeros(g.phi))
+        index = np.ravel_multi_index(np.ix_(*exps), g.orders).ravel()
         prim = primitive_mask(g)
         assert int(prim[index].sum()) == int(prim.sum()), q
         halvings = (q % 3 == 0 and q % 9 != 0) + (q % 4 == 0 and q % 8 != 0)
@@ -464,28 +518,122 @@ def test_fold_keeps_every_primitive_character():
 
 
 def test_folded_sums_agree_with_the_unfolded_transform():
-    # each part of each folded output lies within both envelopes of the
+    # each part of each folded sum lies within both envelopes of the
     # unfolded character sum at its enumeration index, and _spectrum keeps
-    # exactly the primitive outputs, bit for bit, with their parities
+    # exactly the primitive outputs of rfftn's half, with their parities
     for q in range(3, 3001, 3):
         if q % 4 == 2:
             continue
         g = unit_group(q)
         c = build_coefficients(q, 1e-9 / (2 * g.phi))
-        shape, values, rads, index = batch.fold(g, c.mids, c.rads)
-        spec, env = character_sums(shape, values, rads)
+        shape, values, rads, exps = batch.fold(g, c.mids, c.rads)
+        half, env = character_sums(shape, values, rads)
         full, full_env = character_sums(g.orders, c.mids, c.rads)
-        _, kept, kept_env, kept_index, odd, _ = batch._spectrum(q, 1e-9)
-        prim = primitive_mask(g)[index]
-        assert np.array_equal(kept_index, index[prim]) and kept_env == env, q
-        assert np.array_equal(kept.view(np.int64), spec[prim].view(np.int64)), q
-        assert np.array_equal(odd, parity_mask(g)[kept_index]), q
-        dev = spec - full[index]
+        full = full_spectrum(g.orders, full)
+        index = np.ravel_multi_index(np.ix_(*exps), g.orders).ravel()
+        dev = full_spectrum(shape, half) - full[index]
         assert max(np.abs(dev.real).max(), np.abs(dev.imag).max()) <= env + full_env, q
+        sp = batch._spectrum(q, 1e-9)
+        half_index = index.reshape(shape)[..., :shape[-1] // 2 + 1].ravel()
+        prim = primitive_mask(g)[half_index]
+        assert np.array_equal(sp.index, half_index[prim]) and sp.env == env, q
+        assert np.array_equal(sp.prim, prim), q
+        assert np.array_equal(sp.odd, parity_mask(g)[sp.index]), q
+        # the kept sums are rfftn's, but where _exact_pairs conjugated one
+        batch._exact_pairs(shape, half)
+        assert np.array_equal(sp.spec.view(np.int64), half[prim].view(np.int64)), q
         # the fold transforms at most half the lattice and its envelope
         # is never the larger
         if index.size < g.phi:
             assert env <= full_env, q
+
+
+def test_rfft_half_agrees_with_the_complex_transform():
+    # the real-input transform of each folded lattice agrees with the
+    # complex one, conj(fftn(conj(lattice))), on rfftn's half, within the
+    # two transforms' envelopes (the same formula, so twice the envelope)
+    for q in range(3, 3001, 3):
+        if q % 4 == 2:
+            continue
+        g = unit_group(q)
+        c = build_coefficients(q, 1e-9 / (2 * g.phi))
+        shape, values, rads, _ = batch.fold(g, c.mids, c.rads)
+        half, env = character_sums(shape, values, rads)
+        lattice = np.conj(values.astype(np.complex128)).reshape(shape)
+        full = np.conj(np.fft.fftn(lattice))[..., :shape[-1] // 2 + 1].ravel()
+        dev = half - full
+        assert max(np.abs(dev.real).max(), np.abs(dev.imag).max()) <= 2.0 * env, q
+
+
+def test_half_masks_equal_the_gathered_full_masks():
+    # the masks built on the transformed axes of rfftn's half (a folded
+    # axis held at its exponent 1, the last transformed axis cut to
+    # 0..n//2) are the full masks gathered at the half's indices
+    for q in list(range(3, 20_001, 3)) + [999999, 1999995]:
+        if q % 4 == 2:
+            continue
+        g = unit_group(q)
+        shape, _, _, exps = batch.fold(g, np.zeros(g.phi), np.zeros(g.phi))
+        half = batch._half(exps)
+        index = np.ravel_multi_index(np.ix_(*half), g.orders).ravel()
+        assert index.size == math.prod(shape[:-1]) * (shape[-1] // 2 + 1), q
+        assert np.array_equal(primitive_mask(g, half), primitive_mask(g)[index]), q
+        assert np.array_equal(parity_mask(g, half), parity_mask(g)[index]), q
+
+
+def test_spectrum_runs_one_rfftn_and_no_fftn(monkeypatch):
+    # every conductor with a primitive character goes through one
+    # real-input transform, and the complex one is never reached
+    from l1sweep.sweep import conductor_range, sweep
+
+    def no_fftn(*args, **kwargs):
+        raise AssertionError("complex fftn on the production path")
+
+    calls = []
+    rfftn = np.fft.rfftn
+
+    def counted_rfftn(*args, **kwargs):
+        calls.append(1)
+        return rfftn(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fftn", no_fftn)
+    monkeypatch.setattr(np.fft, "rfftn", counted_rfftn)
+    sweep(3, 300, threads=1)
+    assert len(calls) == sum(q % 4 != 2 for q in conductor_range(3, 300, 3)) == 75
+    calls.clear()
+    assert len(l_values(999)) == count_primitive(999, 999) and len(calls) == 1
+    calls.clear()
+    assert batch_maxima(99999)[1] == count_primitive(99999, 99999) and len(calls) == 1
+
+
+def test_l_value_is_the_l_values_record():
+    # one record built alone is the l_values record of its index, bit for
+    # bit, inside rfftn's half or outside it (rebuilt by conjugation); an
+    # index that is not a primitive character's is refused
+    for q in (3, 9, 45, 63, 96, 249, 996, 4096):
+        recs = {r.index: r for r in l_values(q)}
+        for i in range(-1, unit_group(q).phi + 1):
+            if i in recs:
+                assert _bits(l_value(q, i)) == _bits(recs[i]), (q, i)
+            else:
+                with pytest.raises(ValueError, match="no primitive character"):
+                    l_value(q, i)
+    assert l_value(30, 1) is None
+
+
+def test_l_value_builds_one_record(monkeypatch):
+    # `lvalue --index` reads one sum of the spectrum, not every record
+    sizes = []
+    records = batch._records
+
+    def counted(q, spec, *args):
+        sizes.append(spec.size)
+        return records(q, spec, *args)
+
+    monkeypatch.setattr(batch, "_records", counted)
+    for q, i in ((45, 5), (45, 11), (9999, 2798)):
+        l_value(q, i)
+    assert sizes == [1, 1, 1]
 
 
 @pytest.mark.parametrize("q, want, parity", [
@@ -498,8 +646,8 @@ def test_single_point_folds_match_closed_forms(q, want, parity):
     # every axis folds, so the lattice is one 1-d point: L(1, chi) is the
     # signed sum of the coefficients
     # _spectrum keeps primitive characters only: the one point is primitive
-    g, spec, env, index, odd, _ = batch._spectrum(q, 1e-9)
-    assert spec.shape == index.shape == odd.shape == (1,)
+    g, shape, _, spec, env, index, odd, _ = batch._spectrum(q, 1e-9)
+    assert shape == spec.shape == index.shape == odd.shape == (1,)
     assert index.tolist() == [g.phi - 1]
     assert ("odd" if odd[0] else "even") == parity
     assert abs(spec[0].real - want) <= env and spec[0].imag == 0.0

@@ -2,6 +2,7 @@
 
 import pytest
 
+from l1sweep import batch
 from l1sweep.cli import main
 
 
@@ -22,6 +23,38 @@ def test_lvalue_index_selector(capsys):
     out = capsys.readouterr().out
     assert out.count("q=5") == 1 and "parity=even" in out
     assert main(["lvalue", "--q", "5", "--index", "0"]) == 1  # principal: not primitive
+
+
+@pytest.mark.parametrize("q", [5, 45, 249, 996, 4096])
+def test_lvalue_index_is_the_filtered_listing(q, capsys):
+    # --index prints its character's line of the full listing, byte for
+    # byte, whether rfftn's half holds the character or it is rebuilt as a
+    # conjugate (every index is tried)
+    assert main(["lvalue", "--q", str(q)]) in (0, 2)
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    indices = {int(line.split()[1].removeprefix("index=")) for line in lines}
+    assert indices - set(batch._spectrum(q, 1e-9).index.tolist())   # some are rebuilt
+    for line in lines:
+        index = int(line.split()[1].removeprefix("index="))
+        code = main(["lvalue", "--q", str(q), "--index", str(index)])
+        assert capsys.readouterr().out == line
+        assert code == (0 if "verdict=pass" in line else 2)
+
+
+@pytest.mark.parametrize("q, index", [(5, 0), (45, 0), (45, 3), (45, 4), (45, 24), (45, -1),
+                                      (249, 0), (249, 10**6)])
+def test_lvalue_index_not_primitive_exits_1(q, index, capsys):
+    # a non-primitive or out-of-range index: the message and exit code of
+    # the filtered listing
+    assert main(["lvalue", "--q", str(q), "--index", str(index)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: no primitive character with index {index} mod {q}\n"
+
+
+def test_lvalue_index_without_primitive_characters(capsys):
+    assert main(["lvalue", "--q", "6", "--index", "1"]) == 0
+    assert capsys.readouterr().out == "q=6: no primitive characters\n"
 
 
 def test_lvalue_marks_inapplicable_conductors(capsys):

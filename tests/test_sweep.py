@@ -351,7 +351,7 @@ def test_even_band_for_q_divisible_by_12_sits_lower(tmp_path):
 
 # sha256 of the row file of sweep(3, 3000) at any thread count.  A change
 # to row bytes must fail here and record its new digest.
-ROWS_3000_SHA256 = "3028ee14a85bb2c20e77e3d6961115cf0a258096088288548ee898061b7d133d"
+ROWS_3000_SHA256 = "55d181924ada396a962041e8064e41da8d1c946dd3ac065efc8f496e450adce4"
 
 
 @pytest.fixture(scope="module")
