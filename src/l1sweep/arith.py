@@ -140,9 +140,10 @@ def _powers(g: int, order: int, modulus: int) -> np.ndarray:
 
 def unit_group(q: int) -> UnitGroupStructure:
     """Deterministic cyclic decomposition of (Z/qZ)^*, with its units laid
-    out on the exponent lattice."""
-    if q < 3:
-        raise ValueError(f"unit_group requires q >= 3, got {q}")
+    out on the exponent lattice.  q < 2^31 keeps the lattice's int64
+    products and the int32 `index` exact."""
+    if not 3 <= q < 2 ** 31:
+        raise ValueError(f"unit_group requires 3 <= q < 2^31, got {q}")
     fac = factorize(q)
     comps: list[Component] = []
     for p, e in fac.factors:

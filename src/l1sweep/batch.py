@@ -16,11 +16,12 @@ mixed-radix and Bluestein kernels for arbitrary axis lengths; rigor is
 preserved by computing on midpoints and adding a single certified error
 envelope per output (roundoff-growth bound plus the summed input radii,
 the fold's rounding included), validated against exact DFTs and the
-direct per-character sum.  The spectrum then keeps the primitive
-characters of the half only, each with its full enumeration index.
-`batch_maxima` searches that half; `l_values` rebuilds the other half by
-exact conjugation, and one array pass builds every L-value record, the
-two argmax records of `batch_maxima` included.
+direct per-character sum.  The spectrum then keeps one entry per
+primitive conjugate class, the first member in that half, with its full
+enumeration index.  `batch_maxima` searches the classes; `l_values`
+rebuilds each class's second member by exact conjugation, and one array
+pass builds every L-value record, the two argmax records of
+`batch_maxima` included.
 """
 
 from __future__ import annotations
@@ -81,14 +82,15 @@ def character_sums(shape: tuple[int, ...], values: np.ndarray,
 
     `values` (real) and `rads` are the flattened lattice in C order.  The
     sum at the conjugate character is the conjugate sum, so the half
-    determines the rest (see `_mirror`).  Returns the complex midpoints
-    conj(rfftn(lattice)), flattened in C order, which is lexicographic
-    character order, and one envelope radius valid for each output's real
-    and imaginary parts: the FFT roundoff bound on N = values.size points
-    plus the summed input radii.  A float sum of N nonnegative terms, in
-    any order, is at least (1 - (N - 1)u) times the exact sum, so scaling
-    it by 1 + 2Nu (exact in binary) leaves an upper bound after the
-    product's own rounding, however numpy sums.
+    holds at least one member of every conjugate class (see `_classes`).
+    Returns the complex midpoints conj(rfftn(lattice)), flattened in C
+    order, which is lexicographic character order, and one envelope
+    radius valid for each output's real and imaginary parts: the FFT
+    roundoff bound on N = values.size points plus the summed input radii.
+    A float sum of N nonnegative terms, in any order, is at least
+    (1 - (N - 1)u) times the exact sum, so scaling it by 1 + 2Nu (exact in
+    binary) leaves an upper bound after the product's own rounding,
+    however numpy sums.
 
     Real-kernel assumption: the roundoff bound C log2(N) u N max|a| is the
     one for the complex transform of N points (Higham, Accuracy and
@@ -211,73 +213,40 @@ def _half(exps: list[np.ndarray]) -> list[np.ndarray]:
 
 
 class Spectrum(NamedTuple):
-    """The primitive characters of one conductor in rfftn's half of its
-    folded lattice (see `fold` and `character_sums`)."""
+    """The primitive characters of one conductor, one per conjugate class:
+    the first member of each class in rfftn's half of the folded lattice
+    (see `fold`, `character_sums` and `_classes`).  The other member has
+    the conjugate sum and the same |L(1,chi)|."""
 
     g: UnitGroupStructure
-    shape: tuple[int, ...]   # the folded lattice
-    prim: np.ndarray         # over the half, C order: True where primitive
-    spec: np.ndarray         # the primitive outputs' sums, C order
+    spec: np.ndarray         # the kept outputs' sums, rfftn's own
     env: float               # radius of both parts of every sum
     index: np.ndarray        # their enumeration indices, increasing
     odd: np.ndarray          # their parities, True for odd
+    real: np.ndarray         # True where chi is its own conjugate
     log3: Ball               # (1/3) log q
 
 
-def _negation(rest: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """The index that reads a lattice of shape `rest` at -r for each
-    position r: every exponent negated."""
-    return np.ix_(*(-np.arange(m) % m for m in rest))
+def _classes(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Two masks over rfftn's half of a real lattice of `shape`, C order:
+    `first`, False at the later member of each conjugate pair that the
+    half holds twice, and `real`, True where chi is its own conjugate.
 
-
-def _exact_pairs(shape: tuple[int, ...], spec: np.ndarray) -> None:
-    """Make each conjugate pair that rfftn's half holds exact, in place.
-
-    The half holds both chi and its conjugate only on the last axis's
-    self-conjugate exponents, 0 and n/2, and only with another axis to
-    negate.  rfftn computes the two sums apart, not always conjugate to
-    the bit, so the member with the larger index takes the conjugate of
-    the other's sum, which lies within the same envelope of its true value.
+    The conjugate of the character at (r, j) is (-r, -j) (a folded axis
+    holds the exponent 1, its own negative mod 2), so the half (j =
+    0..n//2 on the last axis, n its length) holds both members only on
+    the columns j = 0 and j = n/2, where it pairs r with -r.
     """
     rest, n = shape[:-1], shape[-1]
-    if not rest:
-        return
-    grid = spec.reshape(rest + (n // 2 + 1,))
-    neg = _negation(rest)
-    flat = np.arange(math.prod(rest)).reshape(rest)
-    later = flat > flat[neg]
-    for col in (0, n // 2) if n % 2 == 0 else (0,):
-        sums = grid[..., col]
-        sums[later] = np.conj(sums[neg][later])
-
-
-def _mirror(shape: tuple[int, ...], prim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where each primitive character of the folded lattice of `shape`
-    finds its sum, given the primitive outputs `prim` of rfftn's half.
-
-    Returns (at, conj): for every primitive character, in enumeration
-    order, the position of its sum among the primitive outputs, and whether
-    the sum is that output's conjugate.  The character at (r, j), with
-    j > n//2 on the last axis, is the conjugate of (-r, n - j) in the half.
-    """
-    rest, n = shape[:-1], shape[-1]
-    h = n // 2 + 1
-    at = np.cumsum(prim) - 1
-    at[~prim] = -1
-    at = at.reshape(rest + (h,))
-    mirrored = at[_negation(rest)][..., n - h:0:-1]
-    at = np.concatenate([at, mirrored], axis=-1)
-    conj = np.zeros(at.shape, dtype=bool)
-    conj[..., h:] = True
-    keep = at >= 0
-    return at[keep], conj[keep]
-
-
-def _take(spec: np.ndarray, at: np.ndarray, conj: np.ndarray) -> np.ndarray:
-    """spec[at], conjugated exactly (the imaginary part negated) where conj."""
-    out = spec[at]
-    np.negative(out.imag, out=out.imag, where=conj)
-    return out
+    flat = np.arange(math.prod(rest))
+    neg = flat.reshape(rest)[np.ix_(*(-np.arange(m) % m for m in rest))].ravel()
+    paired = np.zeros(n // 2 + 1, dtype=bool)
+    paired[0] = True
+    if n % 2 == 0:
+        paired[-1] = True
+    first = ~paired | (flat <= neg)[:, None]
+    real = paired & (flat == neg)[:, None]
+    return first.ravel(), real.ravel()
 
 
 def _spectrum(q: int, tol: float) -> Spectrum | None:
@@ -292,11 +261,11 @@ def _spectrum(q: int, tol: float) -> Spectrum | None:
     g = coeffs.g
     shape, values, rads, exps = fold(g, coeffs.mids, coeffs.rads)
     spec, env = character_sums(shape, values, rads)
-    _exact_pairs(shape, spec)
     exps = _half(exps)
-    prim = primitive_mask(g, exps)
-    index = np.ravel_multi_index(np.ix_(*exps), g.orders).ravel()[prim]
-    return Spectrum(g, shape, prim, spec[prim], env, index, parity_mask(g, exps)[prim],
+    first, real = _classes(shape)
+    keep = primitive_mask(g, exps) & first
+    index = np.ravel_multi_index(np.ix_(*exps), g.orders).ravel()[keep]
+    return Spectrum(g, spec[keep], env, index, parity_mask(g, exps)[keep], real[keep],
                     Ball.exact(q).log() / 3)
 
 
@@ -323,16 +292,22 @@ def _records(q: int, spec: np.ndarray, env: float, index: np.ndarray,
 
 def l_values(q: int, tol: float = 1e-9) -> list[LValueRecord]:
     """L(1,chi) records (see `_records`) for every primitive character
-    mod q, in enumeration order; none when q = 2 mod 4.  A character
-    outside rfftn's half takes the exact conjugate of its conjugate's sum."""
+    mod q, in enumeration order; none when q = 2 mod 4.  The second member
+    of each conjugate class takes the exact conjugate of the first's sum."""
     sp = _spectrum(q, tol)
     if sp is None:
         return []
-    at, conj = _mirror(sp.shape, sp.prim)
-    index = sp.index[at]
-    index[conj] = conjugate_index(sp.g, index[conj])
-    spec, odd, env, log3 = _take(sp.spec, at, conj), sp.odd[at], sp.env, sp.log3
-    del sp, at, conj        # the record pass then holds one copy of the sums
+    n, pair = sp.spec.size, np.flatnonzero(~sp.real)
+    # at[i]: character i's entry among the kept sums and then their conjugates
+    at = np.full(sp.g.phi, -1)
+    at[sp.index] = np.arange(n)
+    at[conjugate_index(sp.g, sp.index[pair])] = np.arange(n, n + pair.size)
+    index = np.flatnonzero(at >= 0)
+    at = at[index]
+    spec = np.concatenate([sp.spec, np.conj(sp.spec[pair])])[at]
+    odd = np.concatenate([sp.odd, sp.odd[pair]])[at]
+    env, log3 = sp.env, sp.log3
+    del sp, at              # the record pass then holds one copy of the sums
     return _records(q, spec, env, index, odd, log3)
 
 
@@ -347,9 +322,9 @@ def l_value(q: int, index: int, tol: float = 1e-9) -> LValueRecord | None:
         for i, conj in ((index, False), (conjugate_index(sp.g, index), True)):
             at = np.searchsorted(sp.index, i)
             if at < sp.index.size and sp.index[at] == i:
-                at = np.array([at])
-                return _records(q, _take(sp.spec, at, np.array([conj])), sp.env,
-                                np.array([index]), sp.odd[at], sp.log3)[0]
+                sums = sp.spec[at:at + 1]
+                return _records(q, np.conj(sums) if conj else sums, sp.env,
+                                np.array([index]), sp.odd[at:at + 1], sp.log3)[0]
     raise ValueError(f"no primitive character with index {index} mod {q}")
 
 
@@ -357,16 +332,15 @@ def batch_maxima(q: int, tol: float = 1e-9) -> tuple[list[tuple[LValueRecord, bo
     """Per-parity maxima of |L(1,chi)| - (log q)/3 over primitive chi.
 
     Returns ([(record, ambiguous) per parity that occurs], primitive
-    character count).  The search runs over rfftn's half: a(n) is real, so
-    chi and its conjugate have conjugate sums and the same |L|, and the
-    half holds at least one of each pair.  The candidates are the
-    characters whose `np.abs` midpoint lies within twice the |L| radius of
-    the largest; the argmax is the smallest index among them and their
-    conjugates, and when that index is a conjugate's, its record is built
-    from the conjugated sum, as `l_values` builds it.  Both parities'
-    argmax records come from one `_records` call, so each is the
-    `l_values` record of its character.  It is ambiguous when another
-    candidate is not in the argmax's conjugate pair.
+    character count).  The search runs over the spectrum's conjugate
+    classes: a(n) is real, so chi and its conjugate have conjugate sums
+    and the same |L|.  The candidates are the classes whose `np.abs`
+    midpoint lies within twice the |L| radius of the largest; the argmax
+    is the smallest index among their members, and when that index is a
+    kept entry's conjugate, its record is built from the conjugated sum,
+    as `l_values` builds it.  Both parities' argmax records come from one
+    `_records` call, so each is the `l_values` record of its character.
+    It is ambiguous when there is another candidate class.
 
     A pass on this record covers every chi of the parity.  Each part of
     chi's computed midpoint s lies within env of L(1,chi), and env is the
@@ -383,27 +357,22 @@ def batch_maxima(q: int, tol: float = 1e-9) -> tuple[list[tuple[LValueRecord, bo
     if sp is None:
         return [], 0
     abs_mid = np.abs(sp.spec)
-    at, conj, best, ambiguous = [], [], [], []
+    sums, odd, best, ambiguous = [], [], [], []
     for sel in (~sp.odd, sp.odd):
         idx = np.flatnonzero(sel)
         if idx.size == 0:
             continue
         mids = abs_mid[idx]
         top = float(mids.max())
-        cands = idx[mids >= top - 2.0 * (2.0 * sp.env + 2.0 * _EPS * top)]
-        own = sp.index[cands].tolist()
-        mirrored = [conjugate_index(sp.g, i) for i in own]
-        c = min(range(len(own)), key=lambda k: min(own[k], mirrored[k]))
-        pair = {own[c], mirrored[c]}
-        at.append(cands[c])
-        conj.append(mirrored[c] < own[c])
-        best.append(min(pair))
-        ambiguous.append(not set(own) <= pair)
-    at = np.array(at, dtype=np.intp)
-    records = _records(q, _take(sp.spec, at, np.array(conj)), sp.env, np.array(best),
-                       sp.odd[at], sp.log3)
-    # each primitive output at exponents 1..n - n//2 - 1 of the last axis
-    # has its conjugate outside the half
-    n = sp.shape[-1]
-    prim = sp.prim.reshape(sp.shape[:-1] + (n // 2 + 1,))
-    return list(zip(records, ambiguous)), int(sp.spec.size + prim[..., 1:n - n // 2].sum())
+        cands = idx[mids >= top - 2.0 * (2.0 * sp.env + 2.0 * _EPS * top)].tolist()
+        # over the candidate classes, the smallest member: (its index,
+        # whether it is the kept entry's conjugate, that entry)
+        i, conj, at = min(min((j, False, k), (conjugate_index(sp.g, j), True, k))
+                          for j, k in zip(sp.index[cands].tolist(), cands))
+        s = complex(sp.spec[at])
+        sums.append(s.conjugate() if conj else s)
+        odd.append(bool(sp.odd[at]))
+        best.append(i)
+        ambiguous.append(len(cands) > 1)
+    records = _records(q, np.array(sums), sp.env, np.array(best), np.array(odd), sp.log3)
+    return list(zip(records, ambiguous)), 2 * sp.spec.size - int(sp.real.sum())

@@ -4,7 +4,6 @@ spectrum that a real transform's half determines."""
 import numpy as np
 import pytest
 
-from l1sweep import batch
 from l1sweep.lemmas import run_all
 
 CRITERION_LINES: list[str] = []
@@ -30,6 +29,9 @@ def lemma_results():
 
 def full_spectrum(shape, half):
     """Every character sum of a real lattice of `shape`, in enumeration
-    order, from `character_sums`' half by exact conjugation."""
-    at, conj = batch._mirror(shape, np.ones(half.size, dtype=bool))
-    return batch._take(half, at, conj)
+    order, from `character_sums`' half: the sum at (r, j) with j > n//2 is
+    the exact conjugate of the one at (-r, n - j)."""
+    rest, n = shape[:-1], shape[-1]
+    half = half.reshape(rest + (n // 2 + 1,))
+    neg = half[np.ix_(*(-np.arange(m) % m for m in rest))]
+    return np.concatenate([half, np.conj(neg[..., n - n // 2 - 1:0:-1])], axis=-1).ravel()

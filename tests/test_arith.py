@@ -57,6 +57,14 @@ def test_unit_group_rejects_small_q():
             unit_group(q)
 
 
+def test_unit_group_rejects_q_from_2_to_the_31():
+    # the int64 lattice products and the int32 index are exact below 2^31;
+    # the refusal comes before any array is built
+    for q in (2**31, 2**31 + 1, 3 * 2**40):
+        with pytest.raises(ValueError, match="2\\^31"):
+            unit_group(q)
+
+
 def test_generator_orders_are_exact():
     # brute-force order check of each component generator inside its part
     for q in (9, 8, 15, 16, 32, 27, 25, 49, 121, 243):

@@ -224,21 +224,20 @@ def _bits(rec):
 @pytest.mark.parametrize("q", [3, 5, 9, 12, 249, 996, 4096, 9999])
 def test_l_values_match_scalar_path(q):
     # the per-record Ball arithmetic, kept as the reference for the array
-    # pass; a character outside rfftn's half takes its conjugate's sum,
-    # conjugated
+    # pass; the second member of each conjugate class takes the first's
+    # sum, conjugated
     sp = batch._spectrum(q, 1e-9)
     env = sp.env
     want = []
-    for at, conj in zip(*batch._mirror(sp.shape, sp.prim)):
-        s, i = complex(sp.spec[at]), int(sp.index[at])
-        if conj:
-            s, i = s.conjugate(), conjugate_index(sp.g, i)
-        value = ComplexBall(Ball(s.real, env), Ball(s.imag, env))
-        a = value.abs()
-        e = a - sp.log3
-        want.append(batch.LValueRecord(q, i, "odd" if sp.odd[at] else "even",
-                                       value.re.mid, value.im.mid, env, a.mid, a.rad,
-                                       e.mid, e.rad))
+    for s, i, odd, real in zip(sp.spec.tolist(), sp.index.tolist(), sp.odd, sp.real):
+        members = [(s, i)] if real else [(s, i), (s.conjugate(), conjugate_index(sp.g, i))]
+        for s, i in members:
+            value = ComplexBall(Ball(s.real, env), Ball(s.imag, env))
+            a = value.abs()
+            e = a - sp.log3
+            want.append(batch.LValueRecord(q, i, "odd" if odd else "even", value.re.mid,
+                                           value.im.mid, env, a.mid, a.rad, e.mid, e.rad))
+    want.sort(key=lambda r: r.index)
     got = l_values(q)
     assert [_bits(r) for r in got] == [_bits(r) for r in want]
 
@@ -520,7 +519,8 @@ def test_fold_keeps_every_primitive_character():
 def test_folded_sums_agree_with_the_unfolded_transform():
     # each part of each folded sum lies within both envelopes of the
     # unfolded character sum at its enumeration index, and _spectrum keeps
-    # exactly the primitive outputs of rfftn's half, with their parities
+    # exactly the first member of each primitive conjugate class in
+    # rfftn's half, with rfftn's own sum and its parity
     for q in range(3, 3001, 3):
         if q % 4 == 2:
             continue
@@ -535,17 +535,32 @@ def test_folded_sums_agree_with_the_unfolded_transform():
         assert max(np.abs(dev.real).max(), np.abs(dev.imag).max()) <= env + full_env, q
         sp = batch._spectrum(q, 1e-9)
         half_index = index.reshape(shape)[..., :shape[-1] // 2 + 1].ravel()
-        prim = primitive_mask(g)[half_index]
-        assert np.array_equal(sp.index, half_index[prim]) and sp.env == env, q
-        assert np.array_equal(sp.prim, prim), q
+        conj = conjugate_index(g, half_index)
+        first = (half_index <= conj) | ~np.isin(conj, half_index)
+        keep = primitive_mask(g)[half_index] & first
+        assert np.array_equal(sp.index, half_index[keep]) and sp.env == env, q
         assert np.array_equal(sp.odd, parity_mask(g)[sp.index]), q
-        # the kept sums are rfftn's, but where _exact_pairs conjugated one
-        batch._exact_pairs(shape, half)
-        assert np.array_equal(sp.spec.view(np.int64), half[prim].view(np.int64)), q
+        assert np.array_equal(sp.spec.view(np.int64), half[keep].view(np.int64)), q
         # the fold transforms at most half the lattice and its envelope
         # is never the larger
         if index.size < g.phi:
             assert env <= full_env, q
+
+
+def test_spectrum_holds_each_conjugate_class_once():
+    # the kept indices and their conjugates are every primitive character,
+    # no kept index is another's conjugate, `real` marks the self-conjugate
+    # ones, and the count of batch_maxima counts both members of a class
+    for q in [45, 63, 96, 4096, 9999, 999999] + [q for q in range(3, 3001, 3) if q % 4 != 2]:
+        tol = 1.0 if q > 10**5 else 1e-9    # 1e-9 is beyond the digamma floor there
+        sp = batch._spectrum(q, tol)
+        conj = conjugate_index(sp.g, sp.index)
+        assert np.array_equal(np.union1d(sp.index, conj),
+                              np.flatnonzero(primitive_mask(sp.g))), q
+        other = conj != sp.index
+        assert not np.isin(conj[other], sp.index).any(), q
+        assert np.array_equal(sp.real, ~other), q
+        assert batch_maxima(q, tol)[1] == count_primitive(q, q), q
 
 
 def test_rfft_half_agrees_with_the_complex_transform():
@@ -646,8 +661,8 @@ def test_single_point_folds_match_closed_forms(q, want, parity):
     # every axis folds, so the lattice is one 1-d point: L(1, chi) is the
     # signed sum of the coefficients
     # _spectrum keeps primitive characters only: the one point is primitive
-    g, shape, _, spec, env, index, odd, _ = batch._spectrum(q, 1e-9)
-    assert shape == spec.shape == index.shape == odd.shape == (1,)
+    g, spec, env, index, odd, real, _ = batch._spectrum(q, 1e-9)
+    assert spec.shape == index.shape == odd.shape == real.shape == (1,) and real[0]
     assert index.tolist() == [g.phi - 1]
     assert ("odd" if odd[0] else "even") == parity
     assert abs(spec[0].real - want) <= env and spec[0].imag == 0.0

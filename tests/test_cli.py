@@ -99,7 +99,7 @@ def test_sweep_tolerance_error_names_conductor(threads, tmp_path, capsys):
     assert "q=299997: " in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("q", ["2", "300003"])
+@pytest.mark.parametrize("q", ["2", "300003", "2147483648"])
 def test_lvalue_bad_input_exits_1(q, capsys):
     assert main(["lvalue", "--q", q]) == 1
     assert capsys.readouterr().err.startswith("error: ")

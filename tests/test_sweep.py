@@ -370,6 +370,17 @@ def test_row_file_digest(threads, rows_3000, tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == ROWS_3000_SHA256
 
 
+# the other two byte-identity references: a row change records new ones
+@pytest.mark.parametrize("qmin, qmax, threads, digest", [
+    (97000, 97999, 1, "362516916357e70c06a9ac9be265d5544246fb69d3fd3688bb87fb277b6cfe90"),
+    (3, 20000, 2, "090032020859f1aa12f23852d76d6d38dca33d1641d5fc18d33283b045576f1b"),
+])
+def test_reference_row_file_digests(qmin, qmax, threads, digest, tmp_path):
+    path = tmp_path / "rows.csv"
+    sweep(qmin, qmax, 3, threads=threads, out_path=str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
 def test_rows_are_the_reports_of_their_argmax_records(rows_3000):
     # a row's excess, margin and verdict are check_theorem's report on the
     # l_values record at the row's index, to the last bit
