@@ -1,26 +1,43 @@
 """Batch evaluation of L(1,chi) for all primitive characters of one conductor.
 
-The coefficient vector a(n) = -psi(n/q)/q is evaluated on the units laid
-out on the exponent lattice of the unit group and transformed by one FFT
-per cyclic component, which evaluates sum_n a(n) chi(n) for every
-character at once in O(phi(q) log q).  Before the transform the lattice
-is folded on the order-2 axis of the part 3 (3 || q) and of the part 4
-(4 || q), where only the exponent 1 gives primitive characters: the
-difference of the axis's two halves is transformed instead, so those
-conductors transform a half or a quarter of the lattice.  a(n) is real,
-so the folded lattice goes through one real-input transform (rfftn),
-which computes only the half spectrum, exponents 0..n//2 on its last axis:
-every other character is the conjugate of one in that half, with the
-conjugate sum and the same |L(1,chi)|.  numpy's pocketfft supplies
-mixed-radix and Bluestein kernels for arbitrary axis lengths; rigor is
-preserved by computing on midpoints and adding a single certified error
-envelope per output (roundoff-growth bound plus the summed input radii,
-the fold's rounding included), validated against exact DFTs and the
-direct per-character sum.  The spectrum then keeps one entry per
-primitive conjugate class, the first member in that half, with its full
-enumeration index.  `batch_maxima` searches the classes; `l_values`
-rebuilds each class's second member by exact conjugation, and one array
-pass builds every L-value record, the two argmax records of
+For primitive chi mod q the classical forms of L(1,chi) (Washington,
+Introduction to Cyclotomic Fields, Thm 4.9) give
+
+    L(1,chi) = e tau(chi) conj(S(chi)) / q,   S(chi) = sum_a chi(a) x(a),
+    x(a) = log(2 sin(pi a'/q)) + pi (a/q - 1/2),   a' = min(a, q - a),
+
+with e = -1 for even chi and e = i for odd chi: the log-sine part of x
+sums to 0 over odd chi and the linear part over even chi, so one real
+coefficient vector serves both parities.  |tau(chi)| = sqrt(q), so
+|L(1,chi)| = |S(chi)| / sqrt(q).  The phase comes from T(chi) = sum_a
+chi(a) w(a) with w(a) = cos(2 pi a/q) + sin(2 pi a/q), which is tau(chi)
+for even chi and -i tau(chi) for odd chi, so L(1,chi) = -T(chi)
+conj(S(chi)) / q for both parities.
+
+x and w are evaluated on the units laid out on the exponent lattice of
+the unit group, on half of them: -1 is a fixed shift of the lattice, and
+x(-a) and w(-a) follow from the same sine, logarithm and cosine as x(a)
+and w(a).  The lattice is transformed by one FFT per cyclic component,
+which evaluates sum_a x(a) chi(a) for every character at once in
+O(phi(q) log q).  Before the transform the lattice is folded on the
+order-2 axis of the part 3 (3 || q) and of the part 4 (4 || q), where
+only the exponent 1 gives primitive characters: the difference of the
+axis's two halves is transformed instead, so those conductors transform
+a half or a quarter of the lattice.  x and w are real, so the folded
+lattice goes through one real-input transform (rfftn), which computes
+only the half spectrum, exponents 0..n//2 on its last axis: every other
+character is the conjugate of one in that half, with the conjugate sums
+and the same |L(1,chi)|.  numpy's pocketfft supplies mixed-radix and
+Bluestein kernels for arbitrary axis lengths; rigor is preserved by
+computing on midpoints and adding a single certified error envelope per
+output (roundoff-growth bound plus the summed input radii, the fold's
+rounding included), validated against exact DFTs and the direct
+per-character sum of the digamma coefficients.  The spectrum then keeps
+one entry per primitive conjugate class, the first member in that half,
+with its full enumeration index.  `batch_maxima` searches the classes on
+|S| alone, one transform per conductor; `l_values` adds the transform of
+w, rebuilds each class's second member by exact conjugation, and one
+array pass builds every L-value record, the two argmax records of
 `batch_maxima` included.
 """
 
@@ -28,15 +45,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
 
-from .arith import UnitGroupStructure, dlog_matrix, euler_phi, unit_group
+from .arith import UnitGroupStructure, dlog_matrix, unit_group
 from .ball import Ball, ComplexBall, _out_array
-from .characters import (Character, _lcm_orders, conjugate_index, parity_mask,
-                         primitive_mask, roots_of_unity)
+from .characters import (Character, _is_five_axis, _lcm_orders, conjugate_index,
+                         parity_mask, primitive_mask, roots_of_unity)
 from .special import ToleranceError, digamma_points
 
 _EPS = 2.0 ** -52
@@ -60,7 +78,12 @@ class CoefficientVector:
 
 def build_coefficients(q: int, tol: float) -> CoefficientVector:
     """Digamma coefficient vector on unit_group(q)'s lattice, with per-entry
-    radius at most tol."""
+    radius at most tol.
+
+    L(1,chi) = sum_n a(n) chi(n) for these coefficients, so `direct_sum` of
+    them is an independent witness of the records: the production path
+    builds x and w instead (`_log_sine_coefficients`,
+    `_phase_coefficients`) and never calls this."""
     g = unit_group(q)                    # which refuses q < 3
     # -psi/q and psi_rad/q (1 + 2^-40) + 2 eps |mids|, in place
     mids, rads = digamma_points(g.lattice / float(q))
@@ -74,11 +97,118 @@ def build_coefficients(q: int, tol: float) -> CoefficientVector:
     return CoefficientVector(g, mids, rads)
 
 
+# Radius model of the elementary coefficients.  np.sin, np.cos and np.log
+# are assumed within 2 ulp (4u relative, u = 2^-53) of the exact function
+# at the rounded argument; glibc and numpy's SIMD kernels claim at most 1
+# ulp, and the tests compare entries with 40-digit mpmath.
+_X_RAD_CONST = 17.0 * _U        # r(a) = u (17 + 6 |x(a)|); see _log_sine_coefficients
+_X_RAD_SLOPE = 6.0 * _U
+_W_RAD = 25.0 * _U              # see _phase_coefficients
+
+
+def _half_units(g: UnitGroupStructure) -> np.ndarray:
+    """d = 2a - q, exact in float64, for the units a at the first half of
+    axis 0 of g's lattice (see `_mirror`)."""
+    d = g.lattice[:g.phi // 2] * 2.0
+    d -= g.q
+    return d
+
+
+def _mirror(g: UnitGroupStructure, out: np.ndarray, v: np.ndarray) -> None:
+    """Given f = out[:phi/2] and v at the units a of the first half of axis
+    0 of g's lattice, set out to f(a) + v(a) at a and to f(a) - v(a) at -a.
+
+    Axis 0 never is the <5> axis of a part 2^e, and -1 has the exponent
+    order/2 on every axis but that one, where it has 0 (see
+    `characters.parity_mask`).  So the unit at position k + s, s the
+    exponent vector of -1, is -a when a is at k: the second half of axis 0
+    is f - v rolled by s over the other axes, written block by block."""
+    h = g.phi // 2
+    shape = (-1,) + g.orders[1:]
+    f, v, dst = out[:h].reshape(shape), v.reshape(shape), out[h:].reshape(shape)
+    blocks = [((slice(None),), (slice(None),))]   # (destination, source) per axis
+    for c, n in zip(g.components[1:], g.orders[1:]):
+        s = 0 if _is_five_axis(c) else n // 2
+        # roll by s: destination s.. takes source ..n-s, and ..s takes n-s..
+        pairs = ([(slice(s, None), slice(None, n - s)), (slice(None, s), slice(n - s, None))]
+                 if s else [(slice(None), slice(None))])
+        blocks = [(d + (pd,), src + (ps,)) for d, src in blocks for pd, ps in pairs]
+    for d, src in blocks:
+        np.subtract(f[src], v[src], out=dst[d])
+    f += v
+
+
+def _checked_radius(g: UnitGroupStructure, worst: float, tol: float) -> None:
+    """The per-entry tol contract in L units: an entry of radius r moves
+    |L(1,chi)| = |S(chi)|/sqrt(q) by at most r/sqrt(q), and that must be
+    at most tol/(2 phi).  A NaN tol attains nothing."""
+    achieved, requested = worst / math.sqrt(g.q), tol / (2.0 * g.phi)
+    if not achieved <= requested:
+        raise ToleranceError(requested, achieved, g.q)
+
+
+def _log_sine_coefficients(g: UnitGroupStructure, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """x(a) = log(2 sin(pi a'/q)) + pi (a/q - 1/2), a' = min(a, q - a), on
+    g's lattice: (midpoints, radii), each radius r(a) = u (17 + 6 |x(a)|).
+
+    With d = 2a - q exact and c = pi/(2q) rounded (relative error below
+    1.37u, fl(pi) included), the linear part v = d c and the angle t =
+    (q - |d|) c = pi a'/q are each within 2.4u relative.  On 0 < t <= pi/2,
+    t cot t <= 1, so sin at the rounded t is within 2.4u relative of sin t,
+    and np.sin adds 4u: log(2 sin) at the computed sine is within 6.5u of
+    log(2 sin(pi a'/q)).  np.log adds 4u |log|, and the sum x = log + v one
+    rounding u |x|.  With |log| <= |x| + |v| and |v| <= pi/2 the error is
+    below u (16.6 + 5.02 |x|).  x(-a) = log - v takes the same logarithm,
+    so sin and log run on half the units (`_mirror`).  Raises
+    ToleranceError unless every r(a)/sqrt(q) is at most tol/(2 phi).
+    """
+    q = g.q
+    c = math.pi / (2 * q)
+    v = _half_units(g)
+    x = np.empty(g.phi)
+    ls = np.abs(v, out=x[:g.phi // 2])
+    np.subtract(q, ls, out=ls)          # 2a'
+    ls *= c                             # pi a'/q
+    np.sin(ls, out=ls)
+    ls *= 2.0
+    np.log(ls, out=ls)
+    v *= c                              # pi (a/q - 1/2)
+    _mirror(g, x, v)
+    rads = np.abs(x)
+    rads *= _X_RAD_SLOPE
+    rads += _X_RAD_CONST
+    _checked_radius(g, float(rads.max()), tol)
+    return x, rads
+
+
+def _phase_coefficients(g: UnitGroupStructure, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """w(a) = cos(2 pi a/q) + sin(2 pi a/q) on g's lattice: (midpoints,
+    radii), every radius 25u.
+
+    With theta = 2 pi a/q - pi = (2a - q) pi/q, w(a) = -(cos theta + sin
+    theta) and w(-a) = -(cos theta - sin theta), so cos and sin run on
+    half the units (`_mirror`).  theta is computed within 2.4u relative, so
+    within 7.6u absolute (|theta| < pi); np.cos and np.sin each add 4u,
+    and the sum one rounding u |w| <= 1.42u: below 24.7u in all.  Raises
+    ToleranceError unless 25u/sqrt(q) is at most tol/(2 phi).
+    """
+    _checked_radius(g, _W_RAD, tol)
+    theta = _half_units(g)
+    theta *= math.pi / g.q
+    w = np.empty(g.phi)
+    np.cos(theta, out=w[:g.phi // 2])
+    _mirror(g, w, np.sin(theta, out=theta))
+    np.negative(w, out=w)
+    return w, np.full(g.phi, _W_RAD)
+
+
 def character_sums(shape: tuple[int, ...], values: np.ndarray,
                    rads: np.ndarray) -> tuple[np.ndarray, float]:
     """sum_n a(n) chi(n) over a real lattice of `shape`, for the characters
     of rfftn's half: exponents 0..n//2 on the last axis (n its length) and
-    every exponent on the others.
+    every exponent on the others.  Production runs it on the folded x
+    lattice for S(chi), and for `l_values` on the folded w lattice for
+    T(chi); the tests also run it on the digamma coefficients.
 
     `values` (real) and `rads` are the flattened lattice in C order.  The
     sum at the conjugate character is the conjugate sum, so the half
@@ -103,7 +233,7 @@ def character_sums(shape: tuple[int, ...], values: np.ndarray,
     n = values.size
     spectrum = np.fft.rfftn(values.reshape(shape))
     np.conj(spectrum, out=spectrum)
-    max_mag = float(np.max(np.abs(values)))
+    max_mag = max(float(values.max()), -float(values.min()))
     envelope = (_FFT_C * math.log2(max(n, 2)) * _U * n * max_mag
                 + float(np.sum(rads)) * (1.0 + 2.0 * n * _U))
     return spectrum.ravel(), envelope
@@ -134,7 +264,12 @@ def fold(g: UnitGroupStructure, mids: np.ndarray, rads: np.ndarray):
     for axis in reversed(folded):
         at = (slice(None),) * axis
         b = mids[at + (0,)] - mids[at + (1,)]
-        rads = (rads[at + (0,)] + rads[at + (1,)] + 2.0 * _U * np.abs(b)) * (1.0 + 8.0 * _U)
+        # (r0 + r1 + 2u |b|)(1 + 8u), in place
+        slack = np.abs(b)
+        slack *= 2.0 * _U
+        rads = rads[at + (0,)] + rads[at + (1,)]
+        rads += slack
+        rads *= 1.0 + 8.0 * _U
         mids = b
         exps[axis] = exps[axis][1:]
         del orders[axis]
@@ -172,16 +307,20 @@ class LValueRecord(NamedTuple):
     Every field is a plain int, str or float, so a record is one tuple.
     The balls are built only when a property is read: `value` is
     ComplexBall(Ball(re, env), Ball(im, env)), `abs_value` is
-    Ball(abs_mid, abs_rad) and `excess` is Ball(excess_mid, excess_rad),
-    each bit-identical to the ball the scalar path computes.
+    Ball(abs_mid, abs_rad) and `excess` is Ball(excess_mid, excess_rad).
+    |L| and the excess come from |S(chi)|/sqrt(q) (see the module
+    docstring) and are bit-identical to the Ball expression `_records`
+    names; the value is -T(chi) conj(S(chi))/q with the product radius
+    `_values` states, one per conductor.  The records of `batch_maxima`
+    carry no value: it computes no T, so their re, im and env are None.
     """
 
     q: int
     index: int           # position in the character enumeration
     parity: str          # "even" | "odd"
-    re: float            # L(1, chi) midpoint, real part
-    im: float            # L(1, chi) midpoint, imaginary part
-    env: float           # radius of both parts of L(1, chi)
+    re: float | None     # L(1, chi) midpoint, real part
+    im: float | None     # L(1, chi) midpoint, imaginary part
+    env: float | None    # radius of both parts of L(1, chi)
     abs_mid: float       # |L(1, chi)|, outward rounded
     abs_rad: float
     excess_mid: float    # |L| - (1/3) log q
@@ -200,6 +339,11 @@ class LValueRecord(NamedTuple):
         return Ball(self.excess_mid, self.excess_rad)
 
 
+# LValueRecord._make without its per-record Python call and length check:
+# `_records` zips exactly the ten fields
+_new_record = partial(tuple.__new__, LValueRecord)
+
+
 def _half(exps: list[np.ndarray]) -> list[np.ndarray]:
     """The exponent vectors of rfftn's half of the folded lattice `exps`
     (see `fold`): the last transformed axis, the last one holding more
@@ -216,15 +360,18 @@ class Spectrum(NamedTuple):
     """The primitive characters of one conductor, one per conjugate class:
     the first member of each class in rfftn's half of the folded lattice
     (see `fold`, `character_sums` and `_classes`).  The other member has
-    the conjugate sum and the same |L(1,chi)|."""
+    the conjugate sums and the same |L(1,chi)|."""
 
     g: UnitGroupStructure
-    spec: np.ndarray         # the kept outputs' sums, rfftn's own
-    env: float               # radius of both parts of every sum
+    spec: np.ndarray         # the kept outputs' S(chi), rfftn's own
+    env: float               # radius of both parts of every S(chi)
     index: np.ndarray        # their enumeration indices, increasing
     odd: np.ndarray          # their parities, True for odd
     real: np.ndarray         # True where chi is its own conjugate
     log3: Ball               # (1/3) log q
+    root: Ball               # sqrt(q)
+    value: np.ndarray | None  # their L(1,chi) midpoints, when asked for
+    value_env: float | None  # and one radius for both parts of each
 
 
 def _classes(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -249,52 +396,96 @@ def _classes(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     return first.ravel(), real.ravel()
 
 
-def _spectrum(q: int, tol: float) -> Spectrum | None:
-    """The `Spectrum` of one conductor; None when q has no primitive
-    character (q = 2 mod 4), in which case neither the unit group, the
-    coefficients nor the transform are built."""
+def _spectrum(q: int, tol: float, phase: bool = False) -> Spectrum | None:
+    """The `Spectrum` of one conductor, with the values L(1,chi) when
+    `phase` is set; None when q has no primitive character (q = 2 mod 4),
+    in which case neither the unit group, the coefficients nor a transform
+    are built.  One rfftn for S, and one more for T on the same folded
+    lattice (see `_values`)."""
     if q < 3:
         raise ValueError(f"conductor q must be >= 3, got {q}")
     if q % 4 == 2:
         return None
-    coeffs = build_coefficients(q, tol / (2.0 * euler_phi(q)))
-    g = coeffs.g
-    shape, values, rads, exps = fold(g, coeffs.mids, coeffs.rads)
+    g = unit_group(q)
+    shape, values, rads, exps = fold(g, *_log_sine_coefficients(g, tol))
     spec, env = character_sums(shape, values, rads)
     exps = _half(exps)
     first, real = _classes(shape)
     keep = primitive_mask(g, exps) & first
+    spec = spec[keep]
+    value = value_env = None
+    if phase:
+        _, values, rads, _ = fold(g, *_phase_coefficients(g, tol))
+        t, t_env = character_sums(shape, values, rads)
+        value, value_env = _values(q, spec, env, t[keep], t_env)
     index = np.ravel_multi_index(np.ix_(*exps), g.orders).ravel()[keep]
-    return Spectrum(g, spec[keep], env, index, parity_mask(g, exps)[keep], real[keep],
-                    Ball.exact(q).log() / 3)
+    return Spectrum(g, spec, env, index, parity_mask(g, exps)[keep], real[keep],
+                    Ball.exact(q).log() / 3, Ball.exact(q).sqrt(), value, value_env)
 
 
-def _records(q: int, spec: np.ndarray, env: float, index: np.ndarray,
-             odd: np.ndarray, log3: Ball) -> list[LValueRecord]:
-    """One L-value record per entry of `spec`, in one array pass.  Every
-    float is bit-identical to the scalar path: the value ball's `.abs()`
-    (ball_hypot, math.hypot on each midpoint pair), then `- log3`.  Each
-    record is one tuple of those floats; no Ball is built here."""
-    re, im = spec.real.tolist(), spec.imag.tolist()
+def _values(q: int, s: np.ndarray, env: float, t: np.ndarray,
+            t_env: float) -> tuple[np.ndarray, float]:
+    """L(1,chi) = -T conj(S)/q from the sums s of S and t of T: the
+    midpoints, and one radius for both parts of every one.
+
+    re = (t.re s.re + t.im s.im)/(-q) and im = (t.re s.im - t.im s.re)/q.
+    Each part of s and t lies within env and t_env of S and T, and |T| =
+    |tau(chi)| = sqrt(q), so each part of T conj(S) lies within t_env
+    (|s.re| + |s.im|) + sqrt(2q) env of t conj(s).  The two products,
+    their sum and the division by q round by at most 3.01u (|t.re| +
+    |t.im|)(|s.re| + |s.im|)/q, and 4u = 2 eps is charged.  The radius is
+    that sum over q at the largest |s.re| + |s.im| and |t.re| + |t.im|,
+    scaled by 1 + 2^-40 for its own roundings."""
+    value = np.empty(s.shape, dtype=np.complex128)
+    np.divide(t.real * s.real + t.imag * s.imag, -q, out=value.real)
+    np.divide(t.real * s.imag - t.imag * s.real, q, out=value.imag)
+    s1 = float((np.abs(s.real) + np.abs(s.imag)).max())
+    t1 = float((np.abs(t.real) + np.abs(t.imag)).max())
+    rad = ((s1 * (t_env + 2.0 * _EPS * t1) + math.sqrt(2 * q) * (1.0 + _EPS) * env)
+           / q * (1.0 + 2.0 ** -40))
+    return value, rad
+
+
+def _records(sp: Spectrum, spec: np.ndarray, index: np.ndarray, odd: np.ndarray,
+             value: np.ndarray | None = None) -> list[LValueRecord]:
+    """One L-value record per entry of `spec` (S(chi)) and of `value`
+    (the L(1,chi) midpoints, or None for records without a value), in one
+    array pass, the value's radius `sp.value_env` (see `_values`).
+
+    |L| and the excess are bit-identical to the Ball expression
+    `ComplexBall(Ball(s.real, env), Ball(s.imag, env)).abs() / sp.root -
+    sp.log3` (ball_hypot, math.hypot on each midpoint pair, then
+    Ball.__truediv__ and Ball.__sub__).  Each record is one tuple of
+    floats; no Ball is built here.
+    """
+    q, env, root, log3 = sp.g.q, sp.env, sp.root, sp.log3
     # math.hypot as in ball_hypot; np.hypot need not round the same way
-    abs_mid = np.array(list(map(math.hypot, re, im)), dtype=np.float64)
-    abs_rad = _out_array(abs_mid, env + env + 2.0 * _EPS * abs_mid)
+    h = np.array(list(map(math.hypot, spec.real.tolist(), spec.imag.tolist())),
+                 dtype=np.float64)
+    h_rad = _out_array(h, env + env + 2.0 * _EPS * h)
+    abs_mid = np.divide(h, root.mid, out=h)
+    abs_rad = _out_array(abs_mid, (h_rad + abs_mid * root.rad) / (root.mid - root.rad))
+    del h_rad               # the record lists below set the pass's peak memory
     ex_mid = abs_mid - log3.mid
     ex_rad = _out_array(ex_mid, abs_rad + log3.rad)
     # the check Ball.__post_init__ would make on each radius
     if not (env >= 0.0 and (abs_rad >= 0.0).all() and (ex_rad >= 0.0).all()):
         raise ValueError(f"q={q}: negative radius in an L-value record")
+    re = im = repeat(None)
+    if value is not None:
+        re, im = value.real.tolist(), value.imag.tolist()
     parity = map(("even", "odd").__getitem__, odd.tolist())
-    return list(map(LValueRecord._make, zip(
-        repeat(q), index.tolist(), parity, re, im, repeat(env), abs_mid.tolist(),
+    return list(map(_new_record, zip(
+        repeat(q), index.tolist(), parity, re, im, repeat(sp.value_env), abs_mid.tolist(),
         abs_rad.tolist(), ex_mid.tolist(), ex_rad.tolist())))
 
 
 def l_values(q: int, tol: float = 1e-9) -> list[LValueRecord]:
     """L(1,chi) records (see `_records`) for every primitive character
     mod q, in enumeration order; none when q = 2 mod 4.  The second member
-    of each conjugate class takes the exact conjugate of the first's sum."""
-    sp = _spectrum(q, tol)
+    of each conjugate class takes the exact conjugates of the first's S
+    and L(1,chi)."""
+    sp = _spectrum(q, tol, phase=True)
     if sp is None:
         return []
     n, pair = sp.spec.size, np.flatnonzero(~sp.real)
@@ -305,26 +496,28 @@ def l_values(q: int, tol: float = 1e-9) -> list[LValueRecord]:
     index = np.flatnonzero(at >= 0)
     at = at[index]
     spec = np.concatenate([sp.spec, np.conj(sp.spec[pair])])[at]
+    value = np.concatenate([sp.value, np.conj(sp.value[pair])])[at]
     odd = np.concatenate([sp.odd, sp.odd[pair]])[at]
-    env, log3 = sp.env, sp.log3
-    del sp, at              # the record pass then holds one copy of the sums
-    return _records(q, spec, env, index, odd, log3)
+    sp = sp._replace(spec=None, value=None)
+    del at                  # the record pass then holds one copy of the sums
+    return _records(sp, spec, index, odd, value)
 
 
 def l_value(q: int, index: int, tol: float = 1e-9) -> LValueRecord | None:
     """The `l_values` record of the character with enumeration index
     `index`, built alone; None when q = 2 mod 4.  Raises ValueError when
     no primitive character mod q has that index."""
-    sp = _spectrum(q, tol)
+    sp = _spectrum(q, tol, phase=True)
     if sp is None:
         return None
     if 0 <= index < sp.g.phi:
         for i, conj in ((index, False), (conjugate_index(sp.g, index), True)):
             at = np.searchsorted(sp.index, i)
             if at < sp.index.size and sp.index[at] == i:
-                sums = sp.spec[at:at + 1]
-                return _records(q, np.conj(sums) if conj else sums, sp.env,
-                                np.array([index]), sp.odd[at:at + 1], sp.log3)[0]
+                sums, value = sp.spec[at:at + 1], sp.value[at:at + 1]
+                if conj:
+                    sums, value = np.conj(sums), np.conj(value)
+                return _records(sp, sums, np.array([index]), sp.odd[at:at + 1], value)[0]
     raise ValueError(f"no primitive character with index {index} mod {q}")
 
 
@@ -332,26 +525,30 @@ def batch_maxima(q: int, tol: float = 1e-9) -> tuple[list[tuple[LValueRecord, bo
     """Per-parity maxima of |L(1,chi)| - (log q)/3 over primitive chi.
 
     Returns ([(record, ambiguous) per parity that occurs], primitive
-    character count).  The search runs over the spectrum's conjugate
-    classes: a(n) is real, so chi and its conjugate have conjugate sums
+    character count).  Each record carries q, index, parity, |L| and the
+    excess, what the sweep and `check_theorem` read, and no value: only
+    S(chi) is transformed.  The search runs over the spectrum's conjugate
+    classes: x(a) is real, so chi and its conjugate have conjugate sums
     and the same |L|.  The candidates are the classes whose `np.abs`
-    midpoint lies within twice the |L| radius of the largest; the argmax
-    is the smallest index among their members, and when that index is a
-    kept entry's conjugate, its record is built from the conjugated sum,
-    as `l_values` builds it.  Both parities' argmax records come from one
-    `_records` call, so each is the `l_values` record of its character.
-    It is ambiguous when there is another candidate class.
+    midpoint of S lies within twice the |S| radius of the largest; the
+    argmax is the smallest index among their members, and when that
+    index is a kept entry's conjugate, its record is built from the
+    conjugated sum, as `l_values` builds it.  Both parities' argmax
+    records come from one `_records` call, so each has the |L| and excess
+    of the `l_values` record of its character.  It is ambiguous when
+    there is another candidate class.
 
     A pass on this record covers every chi of the parity.  Each part of
-    chi's computed midpoint s lies within env of L(1,chi), and env is the
-    same for all chi, so |L(1,chi)| <= |s| + sqrt(2) env.  The record's |L|
-    radius, at least 2 env + 3 eps |L| (2 eps from `ball_hypot`, eps from
-    `_out`), grows with |L|, so a record with a smaller hypot midpoint has
-    a smaller upper end.  `np.abs` and `math.hypot` may order near-equal
-    midpoints differently, but each is within one ulp of |s|: |s| <=
-    np.abs(s) + ulp <= np.abs(s_max) + ulp <= hypot(s_max) + 3 ulp, inside
-    the 3 eps |L| slack.  So the record's upper end bounds every excess of
-    the parity.
+    chi's computed S midpoint s lies within env of S(chi), and env is the
+    same for all chi, so |L(1,chi)| <= (|s| + sqrt(2) env)/sqrt(q).  The
+    record's |L| radius, at least (2 env + 3 eps |s|)/sqrt(q) (2 eps from
+    `ball_hypot`, eps from `_out`; the division by sqrt(q) only adds), is
+    nondecreasing in the hypot midpoint, and so is |L|'s midpoint, so a
+    record with a smaller hypot midpoint has a smaller upper end.
+    `np.abs` and `math.hypot` may order near-equal midpoints differently,
+    but each is within one ulp of |s|: |s| <= np.abs(s) + ulp <=
+    np.abs(s_max) + ulp <= hypot(s_max) + 3 ulp, inside the 3 eps |s|
+    slack.  So the record's upper end bounds every excess of the parity.
     """
     sp = _spectrum(q, tol)
     if sp is None:
@@ -374,5 +571,5 @@ def batch_maxima(q: int, tol: float = 1e-9) -> tuple[list[tuple[LValueRecord, bo
         odd.append(bool(sp.odd[at]))
         best.append(i)
         ambiguous.append(len(cands) > 1)
-    records = _records(q, np.array(sums), sp.env, np.array(best), np.array(odd), sp.log3)
+    records = _records(sp, np.array(sums), np.array(best), np.array(odd))
     return list(zip(records, ambiguous)), 2 * sp.spec.size - int(sp.real.sum())

@@ -3,7 +3,7 @@
 A `sweep` row is the `lvalue --q Q --index I` report of its argmax I.
 
 Exit codes: 0 success with nothing violated; 1 usage or I/O error, an
-out-of-range q, --qmax or --grid, a row file to resume that another
+out-of-range q, --qmax, --grid or --threads, a row file to resume that another
 run wrote, an --out file that is not a row file, or a tolerance the
 coefficients cannot attain, each with an error message; 2 a theorem
 exception, an indeterminate verdict (from its first evaluation: tol
@@ -39,8 +39,10 @@ def _build_parser() -> _Parser:
     s.add_argument("--qmin", type=int, required=True)
     s.add_argument("--qmax", type=int, required=True)
     s.add_argument("--tol", type=float, default=1e-9,
-                   help="absolute tolerance per L-value (default 1e-9); it changes "
-                        "no computed value, only which conductors are refused")
+                   help="absolute tolerance per L-value (default 1e-9): every "
+                        "coefficient radius over sqrt(q) must be at most "
+                        "tol/(2 phi(q)); it changes no computed value, only which "
+                        "conductors are refused")
     s.add_argument("--threads", type=int, default=1,
                    help="worker processes (default 1)")
     s.add_argument("--out", required=True, help="row file path")

@@ -1,10 +1,11 @@
 """Rigorous evaluation of the analytic kernels: digamma, j, F3, F4.
 
 Scalar entry points return balls built from ball arithmetic end to end.
-The batch engine needs digamma at every unit n/q of a conductor, so a
-vectorized numpy path is provided alongside, carrying an analytic error
-envelope that the test suite validates against the scalar ball version
-and against high-precision oracles.
+The digamma witness (`batch.build_coefficients` and `batch.direct_sum`,
+which the tests check the records against) needs digamma at every unit
+n/q of a conductor, so a vectorized numpy path is provided alongside,
+carrying an analytic error envelope that the test suite validates
+against the scalar ball version and against high-precision oracles.
 """
 
 from __future__ import annotations

@@ -77,11 +77,11 @@ class SweepSummary:
     def tolerance_floor(self) -> list[int]:
         """Conductors with an indeterminate row, in ascending order.
 
-        tol changes no computed value: whatever tol is, the digamma
-        coefficients carry the same midpoints and the same radii, which sit
-        at the double-precision floor, and tol only decides which
-        conductors are refused with ToleranceError.  So no rerun at a
-        smaller tol can decide these rows; they stay among the exceptions.
+        tol changes no computed value: whatever tol is, the coefficients x
+        carry the same midpoints and the same radii, which sit at the
+        double-precision floor, and tol only decides which conductors are
+        refused with ToleranceError.  So no rerun at a smaller tol can
+        decide these rows; they stay among the exceptions.
         """
         return sorted({r.q for r in self.exceptions if r.verdict == "indeterminate"})
 
@@ -136,13 +136,16 @@ def sweep(qmin: int, qmax: int, divisor: int = 3, tol: float = 1e-9,
     multiple of 3.  An existing row file at out_path is resumed: its last
     conductor is recomputed and every conductor before it is taken from
     the file.  A file at out_path that is neither empty nor a row file
-    raises ValueError and is left as it is.
+    raises ValueError and is left as it is.  A threads count below 1
+    raises ValueError before any file is opened.
     """
     if not 3 <= qmin <= qmax:
         raise ValueError("need 3 <= qmin <= qmax")
     if divisor is None or divisor <= 0 or divisor % 3:
         raise ValueError(f"the theorem needs 3 | q: divisor must be a positive "
                          f"multiple of 3, got {divisor}")
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     t0 = time.perf_counter()
     qs = conductor_range(qmin, qmax, divisor)
     maxima: dict[str, SweepRow] = {}
@@ -201,7 +204,7 @@ def sweep(qmin: int, qmax: int, divisor: int = 3, tol: float = 1e-9,
                 fh.write(_HEADER)
             fh.flush()
         todo = [q for q in qs if q > done]
-        if threads <= 1 or len(todo) <= 1:
+        if threads == 1 or len(todo) <= 1:
             for q in todo:
                 consume(_worker((q, tol)))
         else:

@@ -203,13 +203,14 @@ def test_spectrum_builds_no_residue_index(monkeypatch):
 def test_no_spectrum_without_primitive_characters(monkeypatch):
     # q = 2 mod 4 has no primitive character: no unit group, no
     # coefficients, no transform
-    def no_digamma(x):
-        raise AssertionError("digamma evaluated for a conductor with no primitive character")
+    def no_coefficients(g, tol):
+        raise AssertionError("coefficients built for a conductor with no primitive character")
 
     def no_unit_group(q):
         raise AssertionError("unit group built for a conductor with no primitive character")
 
-    monkeypatch.setattr(batch, "digamma_points", no_digamma)
+    monkeypatch.setattr(batch, "_log_sine_coefficients", no_coefficients)
+    monkeypatch.setattr(batch, "_phase_coefficients", no_coefficients)
     monkeypatch.setattr(batch, "unit_group", no_unit_group)
     for q in (30, 6):
         assert batch_maxima(q) == ([], 0)
@@ -217,26 +218,51 @@ def test_no_spectrum_without_primitive_characters(monkeypatch):
 
 
 def _bits(rec):
-    balls = (rec.value.re, rec.value.im, rec.abs_value, rec.excess)
-    return (rec.q, rec.index, rec.parity) + tuple(x.hex() for b in balls for x in (b.mid, b.rad))
+    """A record's fields, its floats by their bits (None where
+    `batch_maxima` leaves the value out)."""
+    return tuple(rec[:3]) + tuple(None if x is None else x.hex() for x in rec[3:])
+
+
+def _abs_bits(rec):
+    """The fields a sweep row reads, |L| and the excess by their bits."""
+    return (rec.q, rec.index, rec.parity) + tuple(
+        x.hex() for x in (rec.abs_mid, rec.abs_rad, rec.excess_mid, rec.excess_rad))
 
 
 @pytest.mark.parametrize("q", [3, 5, 9, 12, 249, 996, 4096, 9999])
-def test_l_values_match_scalar_path(q):
-    # the per-record Ball arithmetic, kept as the reference for the array
-    # pass; the second member of each conjugate class takes the first's
-    # sum, conjugated
-    sp = batch._spectrum(q, 1e-9)
-    env = sp.env
+def test_l_values_match_scalar_path(q, monkeypatch):
+    # the per-record scalar arithmetic, kept as the reference for the array
+    # pass: |L| = |S|/sqrt(q) in Ball arithmetic, then minus (1/3) log q;
+    # the value -T conj(S)/q in Python floats from the sums T that
+    # _spectrum transforms, with the conductor's one product radius; the
+    # second member of each conjugate class takes the first's S and
+    # L(1, chi), conjugated
+    phase = {}
+    values = batch._values
+
+    def kept(q, s, env, t, t_env):
+        phase.update(t=t.tolist(), t_env=t_env)
+        return values(q, s, env, t, t_env)
+
+    monkeypatch.setattr(batch, "_values", kept)
+    sp = batch._spectrum(q, 1e-9, phase=True)
+    env, t_env, sums = sp.env, phase["t_env"], sp.spec.tolist()
+    s1 = max(abs(s.real) + abs(s.imag) for s in sums)
+    t1 = max(abs(t.real) + abs(t.imag) for t in phase["t"])
+    rad = ((s1 * (t_env + 2.0 * batch._EPS * t1) + math.sqrt(2 * q) * (1.0 + batch._EPS) * env)
+           / q * (1.0 + 2.0 ** -40))
     want = []
-    for s, i, odd, real in zip(sp.spec.tolist(), sp.index.tolist(), sp.odd, sp.real):
-        members = [(s, i)] if real else [(s, i), (s.conjugate(), conjugate_index(sp.g, i))]
-        for s, i in members:
-            value = ComplexBall(Ball(s.real, env), Ball(s.imag, env))
-            a = value.abs()
+    for s, t, i, odd, real in zip(sums, phase["t"], sp.index.tolist(), sp.odd, sp.real):
+        value = complex((t.real * s.real + t.imag * s.imag) / -q,
+                        (t.real * s.imag - t.imag * s.real) / q)
+        members = [(s, value, i)]
+        if not real:
+            members.append((s.conjugate(), value.conjugate(), conjugate_index(sp.g, i)))
+        for s, value, i in members:
+            a = ComplexBall(Ball(s.real, env), Ball(s.imag, env)).abs() / sp.root
             e = a - sp.log3
-            want.append(batch.LValueRecord(q, i, "odd" if odd else "even", value.re.mid,
-                                           value.im.mid, env, a.mid, a.rad, e.mid, e.rad))
+            want.append(batch.LValueRecord(q, i, "odd" if odd else "even", value.real,
+                                           value.imag, rad, a.mid, a.rad, e.mid, e.rad))
     want.sort(key=lambda r: r.index)
     got = l_values(q)
     assert [_bits(r) for r in got] == [_bits(r) for r in want]
@@ -456,8 +482,9 @@ def test_conjugation_symmetry():
 
 
 def test_batch_maxima_agree_with_records():
-    # each parity's maximum is the l_values record of its argmax, float
-    # for float, and no other record's excess is separably larger
+    # each parity's maximum has the |L| and excess of the l_values record
+    # of its argmax, float for float, and no value (batch_maxima computes
+    # no T); no other record's excess is separably larger
     # 249 folds 3 || q, 100 and 108 fold 4 || q, 996 and 1020 fold both,
     # and 96 and 4096 have 8 | q; at 45 and 63 an argmax is a conjugate of
     # the half's candidate, built from its conjugated sum
@@ -467,14 +494,15 @@ def test_batch_maxima_agree_with_records():
         assert n_prim == len(recs)
         assert [rec.parity for rec, _ in maxima] == ["even", "odd"]
         for rec, _ in maxima:
-            assert _bits(rec) == _bits(recs[rec.index])
+            assert _abs_bits(rec) == _abs_bits(recs[rec.index])
+            assert rec.re is rec.im is rec.env is None
             best = max((r for r in recs.values() if r.parity == rec.parity),
                        key=lambda r: r.excess_mid)
             assert rec.index == best.index or rec.excess.overlaps(best.excess)
 
 
 def test_batch_maxima_ambiguity_skips_conjugate_pairs():
-    # a(n) is real, so chi and its conjugate have the same |L|: only a
+    # x(a) is real, so chi and its conjugate have the same |L|: only a
     # candidate outside the argmax's conjugate pair makes a row ambiguous
     def maximum(q, parity):
         return next(m for m in batch_maxima(q)[0] if m[0].parity == parity)
@@ -496,7 +524,7 @@ def test_batch_maxima_ambiguity_skips_conjugate_pairs():
     # conjugate of the second candidate, with its conjugated sum
     rec, ambiguous = maximum(65, "odd")
     assert (rec.index, conjugate_index(unit_group(65), rec.index)) == (22, 38) and ambiguous
-    assert _bits(rec) == _bits(next(r for r in l_values(65) if r.index == 22))
+    assert _abs_bits(rec) == _abs_bits(next(r for r in l_values(65) if r.index == 22))
 
 
 def test_fold_keeps_every_primitive_character():
@@ -525,10 +553,10 @@ def test_folded_sums_agree_with_the_unfolded_transform():
         if q % 4 == 2:
             continue
         g = unit_group(q)
-        c = build_coefficients(q, 1e-9 / (2 * g.phi))
-        shape, values, rads, exps = batch.fold(g, c.mids, c.rads)
+        x, r = batch._log_sine_coefficients(g, 1e-9)
+        shape, values, rads, exps = batch.fold(g, x, r)
         half, env = character_sums(shape, values, rads)
-        full, full_env = character_sums(g.orders, c.mids, c.rads)
+        full, full_env = character_sums(g.orders, x, r)
         full = full_spectrum(g.orders, full)
         index = np.ravel_multi_index(np.ix_(*exps), g.orders).ravel()
         dev = full_spectrum(shape, half) - full[index]
@@ -552,15 +580,14 @@ def test_spectrum_holds_each_conjugate_class_once():
     # no kept index is another's conjugate, `real` marks the self-conjugate
     # ones, and the count of batch_maxima counts both members of a class
     for q in [45, 63, 96, 4096, 9999, 999999] + [q for q in range(3, 3001, 3) if q % 4 != 2]:
-        tol = 1.0 if q > 10**5 else 1e-9    # 1e-9 is beyond the digamma floor there
-        sp = batch._spectrum(q, tol)
+        sp = batch._spectrum(q, 1e-9)
         conj = conjugate_index(sp.g, sp.index)
         assert np.array_equal(np.union1d(sp.index, conj),
                               np.flatnonzero(primitive_mask(sp.g))), q
         other = conj != sp.index
         assert not np.isin(conj[other], sp.index).any(), q
         assert np.array_equal(sp.real, ~other), q
-        assert batch_maxima(q, tol)[1] == count_primitive(q, q), q
+        assert batch_maxima(q)[1] == count_primitive(q, q), q
 
 
 def test_rfft_half_agrees_with_the_complex_transform():
@@ -598,11 +625,17 @@ def test_half_masks_equal_the_gathered_full_masks():
 
 def test_spectrum_runs_one_rfftn_and_no_fftn(monkeypatch):
     # every conductor with a primitive character goes through one
-    # real-input transform, and the complex one is never reached
+    # real-input transform in batch_maxima and the sweep, and two in
+    # l_values (S and T); the complex one and the digamma kernel are never
+    # reached
+    from l1sweep import special
     from l1sweep.sweep import conductor_range, sweep
 
     def no_fftn(*args, **kwargs):
         raise AssertionError("complex fftn on the production path")
+
+    def no_digamma(*args, **kwargs):
+        raise AssertionError("digamma_points on the production path")
 
     calls = []
     rfftn = np.fft.rfftn
@@ -613,10 +646,14 @@ def test_spectrum_runs_one_rfftn_and_no_fftn(monkeypatch):
 
     monkeypatch.setattr(np.fft, "fftn", no_fftn)
     monkeypatch.setattr(np.fft, "rfftn", counted_rfftn)
+    _patch_everywhere(monkeypatch, special.digamma_points, no_digamma)
     sweep(3, 300, threads=1)
     assert len(calls) == sum(q % 4 != 2 for q in conductor_range(3, 300, 3)) == 75
     calls.clear()
-    assert len(l_values(999)) == count_primitive(999, 999) and len(calls) == 1
+    records = l_values(999)
+    assert len(records) == count_primitive(999, 999) and len(calls) == 2
+    calls.clear()
+    assert l_value(999, records[1].index) == records[1] and len(calls) == 2
     calls.clear()
     assert batch_maxima(99999)[1] == count_primitive(99999, 99999) and len(calls) == 1
 
@@ -641,9 +678,9 @@ def test_l_value_builds_one_record(monkeypatch):
     sizes = []
     records = batch._records
 
-    def counted(q, spec, *args):
+    def counted(sp, spec, *args):
         sizes.append(spec.size)
-        return records(q, spec, *args)
+        return records(sp, spec, *args)
 
     monkeypatch.setattr(batch, "_records", counted)
     for q, i in ((45, 5), (45, 11), (9999, 2798)):
@@ -658,14 +695,15 @@ def test_l_value_builds_one_record(monkeypatch):
     (12, math.log(2 + math.sqrt(3)) / math.sqrt(3), "even"),
 ])
 def test_single_point_folds_match_closed_forms(q, want, parity):
-    # every axis folds, so the lattice is one 1-d point: L(1, chi) is the
-    # signed sum of the coefficients
+    # every axis folds, so the lattice is one 1-d point: S(chi) is the
+    # signed sum of the coefficients, and |L(1, chi)| = |S(chi)|/sqrt(q)
     # _spectrum keeps primitive characters only: the one point is primitive
-    g, spec, env, index, odd, real, _ = batch._spectrum(q, 1e-9)
+    sp = batch._spectrum(q, 1e-9)
+    g, spec, env, index, odd, real = sp[:6]
     assert spec.shape == index.shape == odd.shape == real.shape == (1,) and real[0]
     assert index.tolist() == [g.phi - 1]
     assert ("odd" if odd[0] else "even") == parity
-    assert abs(spec[0].real - want) <= env and spec[0].imag == 0.0
+    assert abs(abs(spec[0].real) - want * math.sqrt(q)) <= env and spec[0].imag == 0.0
     (rec,) = l_values(q)
     assert rec.index == g.phi - 1 and rec.parity == parity
     assert rec.abs_value.contains(want)

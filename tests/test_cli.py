@@ -82,9 +82,12 @@ def test_sweep_subcommand_and_exit_code(tmp_path, capsys):
     ["sweep", "--qmin", "1", "--qmax", "9"],                 # q out of range
     ["sweep", "--qmin", "3", "--qmax", "30", "--tol", "0"],  # unattainable tolerance
     ["sweep", "--qmin", "3", "--qmax", "30", "--tol", "0", "--threads", "2"],
-    ["sweep", "--qmin", "300003", "--qmax", "300003"],       # phi beyond the digamma floor
+    # a tol below the coefficients' floor 2 phi max(r)/sqrt(q)
+    ["sweep", "--qmin", "300003", "--qmax", "300003", "--tol", "1e-30"],
     ["sweep", "--qmin", "3", "--qmax", "30", "--tol", "nan"],  # no radius is <= NaN
     ["sweep", "--qmin", "3", "--qmax", "30", "--tol", "nan", "--threads", "2"],
+    ["sweep", "--qmin", "3", "--qmax", "30", "--threads", "0"],   # no worker at all
+    ["sweep", "--qmin", "3", "--qmax", "30", "--threads", "-1"],
 ])
 def test_sweep_bad_input_exits_1(argv, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path / "rows.csv")]) == 1
@@ -93,16 +96,26 @@ def test_sweep_bad_input_exits_1(argv, tmp_path, capsys):
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_sweep_tolerance_error_names_conductor(threads, tmp_path, capsys):
-    # 299997 is the first conductor of the range beyond the digamma floor
+    # 299997 is the first conductor of the range, and 1e-30 is below the
+    # coefficients' floor at every conductor
     assert main(["sweep", "--qmin", "299997", "--qmax", "300003", "--threads", threads,
-                 "--out", str(tmp_path / "rows.csv")]) == 1
+                 "--tol", "1e-30", "--out", str(tmp_path / "rows.csv")]) == 1
     assert "q=299997: " in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("q", ["2", "300003", "2147483648"])
+@pytest.mark.parametrize("q", ["2", "2147483648"])
 def test_lvalue_bad_input_exits_1(q, capsys):
     assert main(["lvalue", "--q", q]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_lvalue_at_300003_exits_0(capsys):
+    # phi(300003) put the digamma coefficients below their floor at the
+    # default tol; the elementary coefficients reach it
+    index = batch._spectrum(300003, 1e-9).index[0]
+    assert main(["lvalue", "--q", "300003", "--index", str(index)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"q=300003 index={index} ") and "verdict=pass" in out
 
 
 @pytest.mark.parametrize("argv", [

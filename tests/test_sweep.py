@@ -283,14 +283,28 @@ def test_summary_shows_the_least_margin(tmp_path):
 
 @pytest.mark.parametrize("q", [9, 111, 249, 999, 1533, 2997, 9999])
 def test_maxima_do_not_depend_on_tol(q):
-    # tol only gates build_coefficients; it never changes a computed
+    # tol only gates the coefficients x; it never changes a computed
     # value, so a smaller tol returns bit-identical maxima or is refused
-    # (phi(q) above about 1020 puts tol/(2 phi) below the digamma floor)
+    # (a tol below the floor 2 phi max(r)/sqrt(q), about 1e-11 at
+    # q = 1e6, would be)
     first = batch_maxima(q, 1e-9)
     try:
         assert batch_maxima(q, 1e-11) == first
     except ToleranceError as e:
         assert e.q == q and unit_group(q).phi > 1000
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("qmax", [999999, 1999998])
+def test_default_tol_reaches_the_top_of_the_range(qmax, tmp_path):
+    # 10 conductors 3 | q just below 1e6 and just below 2e6 at the default
+    # tol, which the digamma coefficients' floor refused there: no
+    # ToleranceError, no exception, and every primitive character counted
+    qmin = qmax - 27
+    summary = sweep(qmin, qmax, 3, out_path=str(tmp_path / "rows.csv"))
+    assert summary.n_conductors == 10
+    assert summary.verified and not summary.tolerance_floor
+    assert summary.n_characters == count_primitive(qmax, 3) - count_primitive(qmin - 1, 3)
 
 
 def test_indeterminate_verdict_is_final(monkeypatch, tmp_path):
@@ -351,7 +365,7 @@ def test_even_band_for_q_divisible_by_12_sits_lower(tmp_path):
 
 # sha256 of the row file of sweep(3, 3000) at any thread count.  A change
 # to row bytes must fail here and record its new digest.
-ROWS_3000_SHA256 = "55d181924ada396a962041e8064e41da8d1c946dd3ac065efc8f496e450adce4"
+ROWS_3000_SHA256 = "90d6b2a7a02e51e7092ea4ec3d2ae5b206caabcc781c487ac32b9470dbd77356"
 
 
 @pytest.fixture(scope="module")
@@ -370,10 +384,15 @@ def test_row_file_digest(threads, rows_3000, tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == ROWS_3000_SHA256
 
 
-# the other two byte-identity references: a row change records new ones
+# the other two byte-identity references: a row change records new ones;
+# the ids leave the digest out, so a re-pinned case keeps its name
 @pytest.mark.parametrize("qmin, qmax, threads, digest", [
-    (97000, 97999, 1, "362516916357e70c06a9ac9be265d5544246fb69d3fd3688bb87fb277b6cfe90"),
-    (3, 20000, 2, "090032020859f1aa12f23852d76d6d38dca33d1641d5fc18d33283b045576f1b"),
+    pytest.param(97000, 97999, 1,
+                 "5f9a68e334993429eae07ef16fc0cb4ed5cb06e3dcc54ec016ecb954d2833967",
+                 id="97000-97999-1"),
+    pytest.param(3, 20000, 2,
+                 "b2cd8ede200965b7c3b98894b30436275d88901fcf68f2584a930219ab799c41",
+                 id="3-20000-2"),
 ])
 def test_reference_row_file_digests(qmin, qmax, threads, digest, tmp_path):
     path = tmp_path / "rows.csv"
