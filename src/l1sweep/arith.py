@@ -5,8 +5,8 @@ per odd prime-power factor (generated by the smallest suitable primitive
 root) and one or two for the 2-part: nothing for 2, a single order-2
 component generated by 3 for 4, and <-1> x <5> for 2^e with e >= 3.
 The units are generated forward from the CRT-lifted generators, in C
-order over the exponent lattice.  A residue-indexed inverse of that
-layout, built on first use, gives discrete logarithms by lookup.
+order over half the exponent lattice (all of it on first use); a
+residue-indexed inverse, built on first use, gives discrete logs.
 """
 
 from __future__ import annotations
@@ -100,12 +100,20 @@ class UnitGroupStructure:
     components: tuple[Component, ...]
     # lattice[k] is the unit at flat position k (C order) of the exponent
     # lattice, prod_i G_i^{k_i} mod q with G_i the CRT lift of component
-    # i's generator
-    lattice: np.ndarray = field(repr=False)
+    # i's generator; half is lattice[:phi // 2]
+    half: np.ndarray = field(repr=False)
 
     @property
     def orders(self) -> tuple[int, ...]:
         return tuple(c.order for c in self.components)
+
+    @cached_property
+    def lattice(self) -> np.ndarray:
+        """Built on first read, by the discrete logs and the oracles only: the
+        second half is the first times G_0^(order/2), -1 on axis 0's part."""
+        rest = self.q // self.components[0].modulus
+        neg = (1 - 2 * rest * pow(rest, -1, self.components[0].modulus)) % self.q
+        return np.concatenate([self.half, self.half * neg % self.q])
 
     @cached_property
     def index(self) -> np.ndarray:
@@ -140,8 +148,8 @@ def _powers(g: int, order: int, modulus: int) -> np.ndarray:
 
 def unit_group(q: int) -> UnitGroupStructure:
     """Deterministic cyclic decomposition of (Z/qZ)^*, with its units laid
-    out on the exponent lattice.  q < 2^31 keeps the lattice's int64
-    products and the int32 `index` exact."""
+    out on the first half of the lattice's axis 0 (of even order).  q < 2^31
+    keeps the lattice's int64 products and the int32 `index` exact."""
     if not 3 <= q < 2 ** 31:
         raise ValueError(f"unit_group requires 3 <= q < 2^31, got {q}")
     fac = factorize(q)
@@ -157,11 +165,12 @@ def unit_group(q: int) -> UnitGroupStructure:
             comps.append(Component(p ** e, p, _prime_power_generator(p, e),
                                    (p - 1) * p ** (e - 1)))
     lattice = np.ones(1, dtype=np.int64)
-    for c in comps:
+    for i, c in enumerate(comps):
         rest = q // c.modulus
         # the generator mod its part, 1 mod the rest of q
         lift = (1 + (c.generator - 1) * rest * pow(rest, -1, c.modulus)) % q
-        lattice = (lattice[:, None] * _powers(lift, c.order, q)[None, :] % q).ravel()
+        lattice = np.multiply.outer(lattice, _powers(lift, c.order // (2 if i == 0 else 1), q))
+        lattice = np.remainder(lattice, q, out=lattice).ravel()
     return UnitGroupStructure(q, fac.phi(), tuple(comps), lattice)
 
 

@@ -30,23 +30,24 @@ character is the conjugate of one in that half, with the conjugate sums
 and the same |L(1,chi)|.  numpy's pocketfft supplies mixed-radix and
 Bluestein kernels for arbitrary axis lengths; rigor is preserved by
 computing on midpoints and adding a single certified error envelope per
-output (roundoff-growth bound plus the summed input radii, the fold's
-rounding included), validated against exact DFTs and the direct
-per-character sum of the digamma coefficients.  The spectrum then keeps
+output (roundoff-growth bound plus one radius sum per lattice, see
+`fold`), validated against exact DFTs and the direct per-character sum
+of the digamma coefficients.  The spectrum then keeps
 one entry per primitive conjugate class, the first member in that half,
 with its full enumeration index.  `batch_maxima` searches the classes on
 |S| alone, one transform per conductor; `l_values` adds the transform of
 w, rebuilds each class's second member by exact conjugation, and one
 array pass builds every L-value record, the two argmax records of
-`batch_maxima` included.
+`batch_maxima` included; an |L| radius above tol refuses the conductor.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
-from itertools import repeat
+from fractions import Fraction
+from functools import partial, reduce
+from itertools import islice, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -97,21 +98,15 @@ def build_coefficients(q: int, tol: float) -> CoefficientVector:
     return CoefficientVector(g, mids, rads)
 
 
-# Radius model of the elementary coefficients.  np.sin, np.cos and np.log
-# are assumed within 2 ulp (4u relative, u = 2^-53) of the exact function
-# at the rounded argument; glibc and numpy's SIMD kernels claim at most 1
-# ulp, and the tests compare entries with 40-digit mpmath.
-_X_RAD_CONST = 17.0 * _U        # r(a) = u (17 + 6 |x(a)|); see _log_sine_coefficients
-_X_RAD_SLOPE = 6.0 * _U
-_W_RAD = 25.0 * _U              # see _phase_coefficients
-
-
-def _half_units(g: UnitGroupStructure) -> np.ndarray:
-    """d = 2a - q, exact in float64, for the units a at the first half of
-    axis 0 of g's lattice (see `_mirror`)."""
-    d = g.lattice[:g.phi // 2] * 2.0
-    d -= g.q
-    return d
+def _abs_sum(a: np.ndarray) -> tuple[float, float]:
+    """sum |a| in floats, by rows of m = isqrt(n) entries (n = a.size): a term
+    meets d <= m + n // m - 1 roundings in any order, so with two more by
+    the caller, 1 + 2(d + 3)u scales the result up to a bound, its own too."""
+    a = np.abs(a.ravel())
+    m = math.isqrt(a.size)
+    k = a.size - a.size % m
+    return (float(a[:k].reshape(-1, m).sum(axis=1).sum()) + float(a[k:].sum()),
+            1.0 + 2.0 * (m + k // m + 2) * _U)
 
 
 def _mirror(g: UnitGroupStructure, out: np.ndarray, v: np.ndarray) -> None:
@@ -138,18 +133,13 @@ def _mirror(g: UnitGroupStructure, out: np.ndarray, v: np.ndarray) -> None:
     f += v
 
 
-def _checked_radius(g: UnitGroupStructure, worst: float, tol: float) -> None:
-    """The per-entry tol contract in L units: an entry of radius r moves
-    |L(1,chi)| = |S(chi)|/sqrt(q) by at most r/sqrt(q), and that must be
-    at most tol/(2 phi).  A NaN tol attains nothing."""
-    achieved, requested = worst / math.sqrt(g.q), tol / (2.0 * g.phi)
-    if not achieved <= requested:
-        raise ToleranceError(requested, achieved, g.q)
-
-
-def _log_sine_coefficients(g: UnitGroupStructure, tol: float) -> tuple[np.ndarray, np.ndarray]:
+# Radius model of the elementary coefficients.  np.sin, np.cos and np.log
+# are assumed within 2 ulp (4u relative, u = 2^-53) of the exact function
+# at the rounded argument; glibc and numpy's SIMD kernels claim at most 1
+# ulp, and the tests compare entries with 40-digit mpmath.
+def _log_sine_coefficients(g: UnitGroupStructure) -> tuple[np.ndarray, float]:
     """x(a) = log(2 sin(pi a'/q)) + pi (a/q - 1/2), a' = min(a, q - a), on
-    g's lattice: (midpoints, radii), each radius r(a) = u (17 + 6 |x(a)|).
+    g's lattice: (midpoints, u (17 phi + 6 sum |x|)), the sum of r(a) = u (17 + 6 |x(a)|).
 
     With d = 2a - q exact and c = pi/(2q) rounded (relative error below
     1.37u, fl(pi) included), the linear part v = d c and the angle t =
@@ -159,12 +149,13 @@ def _log_sine_coefficients(g: UnitGroupStructure, tol: float) -> tuple[np.ndarra
     log(2 sin(pi a'/q)).  np.log adds 4u |log|, and the sum x = log + v one
     rounding u |x|.  With |log| <= |x| + |v| and |v| <= pi/2 the error is
     below u (16.6 + 5.02 |x|).  x(-a) = log - v takes the same logarithm,
-    so sin and log run on half the units (`_mirror`).  Raises
-    ToleranceError unless every r(a)/sqrt(q) is at most tol/(2 phi).
+    so sin and log run on half the units (`_mirror`).  The radius sum is
+    rounded upward (`_abs_sum`; u is a power of two).
     """
     q = g.q
     c = math.pi / (2 * q)
-    v = _half_units(g)
+    v = g.half * 2.0
+    v -= q                              # d = 2a - q, at the units a of g.half
     x = np.empty(g.phi)
     ls = np.abs(v, out=x[:g.phi // 2])
     np.subtract(q, ls, out=ls)          # 2a'
@@ -174,53 +165,44 @@ def _log_sine_coefficients(g: UnitGroupStructure, tol: float) -> tuple[np.ndarra
     np.log(ls, out=ls)
     v *= c                              # pi (a/q - 1/2)
     _mirror(g, x, v)
-    rads = np.abs(x)
-    rads *= _X_RAD_SLOPE
-    rads += _X_RAD_CONST
-    _checked_radius(g, float(rads.max()), tol)
-    return x, rads
+    total, scale = _abs_sum(x)
+    return x, (17.0 * g.phi + 6.0 * total) * scale * _U
 
 
-def _phase_coefficients(g: UnitGroupStructure, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _phase_coefficients(g: UnitGroupStructure) -> tuple[np.ndarray, float]:
     """w(a) = cos(2 pi a/q) + sin(2 pi a/q) on g's lattice: (midpoints,
-    radii), every radius 25u.
+    radius sum), every entry's radius 25u, so the sum 25u phi, exact.
 
     With theta = 2 pi a/q - pi = (2a - q) pi/q, w(a) = -(cos theta + sin
     theta) and w(-a) = -(cos theta - sin theta), so cos and sin run on
     half the units (`_mirror`).  theta is computed within 2.4u relative, so
     within 7.6u absolute (|theta| < pi); np.cos and np.sin each add 4u,
-    and the sum one rounding u |w| <= 1.42u: below 24.7u in all.  Raises
-    ToleranceError unless 25u/sqrt(q) is at most tol/(2 phi).
+    and the sum one rounding u |w| <= 1.42u: below 24.7u in all.
     """
-    _checked_radius(g, _W_RAD, tol)
-    theta = _half_units(g)
+    theta = g.half * 2.0
+    theta -= g.q
     theta *= math.pi / g.q
     w = np.empty(g.phi)
     np.cos(theta, out=w[:g.phi // 2])
     _mirror(g, w, np.sin(theta, out=theta))
     np.negative(w, out=w)
-    return w, np.full(g.phi, _W_RAD)
+    return w, 25.0 * _U * g.phi
 
 
 def character_sums(shape: tuple[int, ...], values: np.ndarray,
-                   rads: np.ndarray) -> tuple[np.ndarray, float]:
+                   rad: float) -> tuple[np.ndarray, float]:
     """sum_n a(n) chi(n) over a real lattice of `shape`, for the characters
     of rfftn's half: exponents 0..n//2 on the last axis (n its length) and
-    every exponent on the others.  Production runs it on the folded x
-    lattice for S(chi), and for `l_values` on the folded w lattice for
-    T(chi); the tests also run it on the digamma coefficients.
+    every exponent on the others: S(chi) from the folded x, T(chi) from w.
 
-    `values` (real) and `rads` are the flattened lattice in C order.  The
-    sum at the conjugate character is the conjugate sum, so the half
-    holds at least one member of every conjugate class (see `_classes`).
-    Returns the complex midpoints conj(rfftn(lattice)), flattened in C
-    order, which is lexicographic character order, and one envelope
-    radius valid for each output's real and imaginary parts: the FFT
-    roundoff bound on N = values.size points plus the summed input radii.
-    A float sum of N nonnegative terms, in any order, is at least
-    (1 - (N - 1)u) times the exact sum, so scaling it by 1 + 2Nu (exact in
-    binary) leaves an upper bound after the product's own rounding,
-    however numpy sums.
+    `values` (real) is the flattened lattice in C order, and `rad` an upper
+    bound on the sum of its entries' radii.  The sum at the conjugate
+    character is the conjugate sum, so the half holds at least one member
+    of every conjugate class (see `_classes`).  Returns the complex
+    midpoints conj(rfftn(lattice)), flattened in C order, which is
+    lexicographic character order, and one envelope radius valid for each
+    output's real and imaginary parts: the FFT roundoff bound on N =
+    values.size points plus `rad` (the margin of C covers the sum's rounding).
 
     Real-kernel assumption: the roundoff bound C log2(N) u N max|a| is the
     one for the complex transform of N points (Higham, Accuracy and
@@ -234,12 +216,11 @@ def character_sums(shape: tuple[int, ...], values: np.ndarray,
     spectrum = np.fft.rfftn(values.reshape(shape))
     np.conj(spectrum, out=spectrum)
     max_mag = max(float(values.max()), -float(values.min()))
-    envelope = (_FFT_C * math.log2(max(n, 2)) * _U * n * max_mag
-                + float(np.sum(rads)) * (1.0 + 2.0 * n * _U))
+    envelope = _FFT_C * math.log2(max(n, 2)) * _U * n * max_mag + rad
     return spectrum.ravel(), envelope
 
 
-def fold(g: UnitGroupStructure, mids: np.ndarray, rads: np.ndarray):
+def fold(g: UnitGroupStructure, mids: np.ndarray, rad: float):
     """The coefficient lattice reduced to its primitive slice on each axis
     where only the exponent j = 1 is primitive: the order-2 axis of the
     part 3 when 3 || q, and of the part 4 when 4 || q.
@@ -248,32 +229,27 @@ def fold(g: UnitGroupStructure, mids: np.ndarray, rads: np.ndarray):
     there are the transform over the other axes of x[k=0] - x[k=1].  Each
     fold replaces the lattice by that difference b and drops the axis.  b
     is rounded once, so its entry's radius is r0 + r1 + u |b| / (1 - u),
-    at most r0 + r1 + 2u |b|; the factor 1 + 8u covers the three
-    roundings of computing that.
+    at most (r0 + r1 + 2u |b|)(1 + 8u).  The r0 + r1 over b are every
+    radius once, so the radius sum R becomes (1 + 8u)(R + 2u sum |b|),
+    rounded upward (`_abs_sum`).
 
-    Returns (shape, values, rads, exps): the folded lattice's shape, its
-    flattened midpoints and radii, and one exponent vector per axis of g,
+    Returns (shape, values, rad, exps): the folded lattice's shape, its
+    flattened midpoints, `rad` and one exponent vector per axis of g,
     whose outer product is the folded lattice in C order: [1] on a folded
     axis, every exponent elsewhere.  With every axis folded (q = 3, 4, 12)
     the lattice is one point of shape (1,).
     """
-    orders = list(g.orders)
-    mids, rads = mids.reshape(orders), rads.reshape(orders)
+    orders, mids = list(g.orders), mids.reshape(g.orders)
     exps = [np.arange(order) for order in orders]
     folded = [i for i, c in enumerate(g.components) if c.order == 2 and c.modulus in (3, 4)]
     for axis in reversed(folded):
         at = (slice(None),) * axis
-        b = mids[at + (0,)] - mids[at + (1,)]
-        # (r0 + r1 + 2u |b|)(1 + 8u), in place
-        slack = np.abs(b)
-        slack *= 2.0 * _U
-        rads = rads[at + (0,)] + rads[at + (1,)]
-        rads += slack
-        rads *= 1.0 + 8.0 * _U
-        mids = b
+        mids = mids[at + (0,)] - mids[at + (1,)]       # b
+        total, scale = _abs_sum(mids)
+        rad = (rad + 2.0 * _U * total) * (1.0 + 8.0 * _U) * scale
         exps[axis] = exps[axis][1:]
         del orders[axis]
-    return tuple(orders) or (1,), mids.ravel(), rads.ravel(), exps
+    return tuple(orders) or (1,), mids.ravel(), rad, exps
 
 
 def direct_sum(g: UnitGroupStructure, coeffs: CoefficientVector,
@@ -396,7 +372,7 @@ def _classes(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     return first.ravel(), real.ravel()
 
 
-def _spectrum(q: int, tol: float, phase: bool = False) -> Spectrum | None:
+def _spectrum(q: int, phase: bool = False) -> Spectrum | None:
     """The `Spectrum` of one conductor, with the values L(1,chi) when
     `phase` is set; None when q has no primitive character (q = 2 mod 4),
     in which case neither the unit group, the coefficients nor a transform
@@ -407,18 +383,19 @@ def _spectrum(q: int, tol: float, phase: bool = False) -> Spectrum | None:
     if q % 4 == 2:
         return None
     g = unit_group(q)
-    shape, values, rads, exps = fold(g, *_log_sine_coefficients(g, tol))
-    spec, env = character_sums(shape, values, rads)
+    shape, values, rad, exps = fold(g, *_log_sine_coefficients(g))
+    spec, env = character_sums(shape, values, rad)
     exps = _half(exps)
     first, real = _classes(shape)
     keep = primitive_mask(g, exps) & first
     spec = spec[keep]
     value = value_env = None
     if phase:
-        _, values, rads, _ = fold(g, *_phase_coefficients(g, tol))
-        t, t_env = character_sums(shape, values, rads)
+        _, values, rad, _ = fold(g, *_phase_coefficients(g))
+        t, t_env = character_sums(shape, values, rad)
         value, value_env = _values(q, spec, env, t[keep], t_env)
-    index = np.ravel_multi_index(np.ix_(*exps), g.orders).ravel()[keep]
+    index = reduce(np.add.outer, [e * math.prod(g.orders[i + 1:])      # C order
+                                  for i, e in enumerate(exps)]).ravel()[keep]
     return Spectrum(g, spec, env, index, parity_mask(g, exps)[keep], real[keep],
                     Ball.exact(q).log() / 3, Ball.exact(q).sqrt(), value, value_env)
 
@@ -447,10 +424,11 @@ def _values(q: int, s: np.ndarray, env: float, t: np.ndarray,
 
 
 def _records(sp: Spectrum, spec: np.ndarray, index: np.ndarray, odd: np.ndarray,
-             value: np.ndarray | None = None) -> list[LValueRecord]:
+             tol: float, value: np.ndarray | None = None) -> list[LValueRecord]:
     """One L-value record per entry of `spec` (S(chi)) and of `value`
     (the L(1,chi) midpoints, or None for records without a value), in one
-    array pass, the value's radius `sp.value_env` (see `_values`).
+    array pass, the value's radius `sp.value_env` (see `_values`), or
+    ToleranceError when an |L| radius exceeds tol (a NaN tol attains none).
 
     |L| and the excess are bit-identical to the Ball expression
     `ComplexBall(Ball(s.real, env), Ball(s.imag, env)).abs() / sp.root -
@@ -471,6 +449,8 @@ def _records(sp: Spectrum, spec: np.ndarray, index: np.ndarray, odd: np.ndarray,
     # the check Ball.__post_init__ would make on each radius
     if not (env >= 0.0 and (abs_rad >= 0.0).all() and (ex_rad >= 0.0).all()):
         raise ValueError(f"q={q}: negative radius in an L-value record")
+    if not abs_rad.max() <= tol:
+        raise ToleranceError(tol, float(abs_rad.max()), q)
     re = im = repeat(None)
     if value is not None:
         re, im = value.real.tolist(), value.imag.tolist()
@@ -485,7 +465,7 @@ def l_values(q: int, tol: float = 1e-9) -> list[LValueRecord]:
     mod q, in enumeration order; none when q = 2 mod 4.  The second member
     of each conjugate class takes the exact conjugates of the first's S
     and L(1,chi)."""
-    sp = _spectrum(q, tol, phase=True)
+    sp = _spectrum(q, phase=True)
     if sp is None:
         return []
     n, pair = sp.spec.size, np.flatnonzero(~sp.real)
@@ -500,25 +480,32 @@ def l_values(q: int, tol: float = 1e-9) -> list[LValueRecord]:
     odd = np.concatenate([sp.odd, sp.odd[pair]])[at]
     sp = sp._replace(spec=None, value=None)
     del at                  # the record pass then holds one copy of the sums
-    return _records(sp, spec, index, odd, value)
+    return _records(sp, spec, index, odd, tol, value)
 
 
 def l_value(q: int, index: int, tol: float = 1e-9) -> LValueRecord | None:
     """The `l_values` record of the character with enumeration index
     `index`, built alone; None when q = 2 mod 4.  Raises ValueError when
     no primitive character mod q has that index."""
-    sp = _spectrum(q, tol, phase=True)
+    sp = _spectrum(q, phase=True)
     if sp is None:
         return None
     if 0 <= index < sp.g.phi:
         for i, conj in ((index, False), (conjugate_index(sp.g, index), True)):
             at = np.searchsorted(sp.index, i)
             if at < sp.index.size and sp.index[at] == i:
-                sums, value = sp.spec[at:at + 1], sp.value[at:at + 1]
-                if conj:
-                    sums, value = np.conj(sums), np.conj(value)
-                return _records(sp, sums, np.array([index]), sp.odd[at:at + 1], value)[0]
+                value = sp.value[at:at + 1]     # the conjugate has the same |S|
+                return _records(sp, sp.spec[at:at + 1], np.array([index]), sp.odd[at:at + 1],
+                                tol, np.conj(value) if conj else value)[0]
     raise ValueError(f"no primitive character with index {index} mod {q}")
+
+
+def _cover(mid: float, rad: float, balls: list[tuple[float, float]]) -> float:
+    """The least float r >= rad at which the ball (mid, r) reaches the
+    upper end of each of `balls`, exactly."""
+    need = max([Fraction(m) + Fraction(r) - Fraction(mid) for m, r in balls], default=0)
+    r = max(rad, float(need))
+    return r if Fraction(r) >= need else math.nextafter(r, math.inf)
 
 
 def batch_maxima(q: int, tol: float = 1e-9) -> tuple[list[tuple[LValueRecord, bool]], int]:
@@ -531,30 +518,26 @@ def batch_maxima(q: int, tol: float = 1e-9) -> tuple[list[tuple[LValueRecord, bo
     classes: x(a) is real, so chi and its conjugate have conjugate sums
     and the same |L|.  The candidates are the classes whose `np.abs`
     midpoint of S lies within twice the |S| radius of the largest; the
-    argmax is the smallest index among their members, and when that
-    index is a kept entry's conjugate, its record is built from the
-    conjugated sum, as `l_values` builds it.  Both parities' argmax
-    records come from one `_records` call, so each has the |L| and excess
-    of the `l_values` record of its character.  It is ambiguous when
-    there is another candidate class.
+    argmax is the smallest index among their members, with the |L| and
+    excess of its `l_values` record.  It is ambiguous when there is
+    another candidate class, and then its radii are widened (`_cover`) to
+    reach every candidate record's upper ends, the largest midpoint's
+    included.  Raises ToleranceError when a widened |L| radius exceeds tol.
 
-    A pass on this record covers every chi of the parity.  Each part of
-    chi's computed S midpoint s lies within env of S(chi), and env is the
-    same for all chi, so |L(1,chi)| <= (|s| + sqrt(2) env)/sqrt(q).  The
-    record's |L| radius, at least (2 env + 3 eps |s|)/sqrt(q) (2 eps from
-    `ball_hypot`, eps from `_out`; the division by sqrt(q) only adds), is
-    nondecreasing in the hypot midpoint, and so is |L|'s midpoint, so a
-    record with a smaller hypot midpoint has a smaller upper end.
-    `np.abs` and `math.hypot` may order near-equal midpoints differently,
-    but each is within one ulp of |s|: |s| <= np.abs(s) + ulp <=
-    np.abs(s_max) + ulp <= hypot(s_max) + 3 ulp, inside the 3 eps |s|
-    slack.  So the record's upper end bounds every excess of the parity.
+    A pass on this record covers every chi of the parity.  A candidate's
+    |L| and excess lie in its record's balls.  Any other class has an
+    `np.abs` midpoint below the largest, t, by over 2 (2 env + 2 eps t).
+    Each part of chi's computed S midpoint s lies within env of S(chi),
+    so |L(1,chi)| <= (|s| + sqrt(2) env)/sqrt(q), and `np.abs` and
+    `math.hypot` are each within one ulp of |s|: so |L(1,chi)| < (h - 2
+    env)/sqrt(q), h the `math.hypot` midpoint of t's class, whose record's
+    upper end is at least (h + 2 env)/sqrt(q), its |L| radius at least (2
+    env + 2 eps h)/sqrt(q) covering the rounding of h/sqrt(q).
     """
-    sp = _spectrum(q, tol)
+    sp = _spectrum(q)
     if sp is None:
         return [], 0
-    abs_mid = np.abs(sp.spec)
-    sums, odd, best, ambiguous = [], [], [], []
+    abs_mid, picks = np.abs(sp.spec), []
     for sel in (~sp.odd, sp.odd):
         idx = np.flatnonzero(sel)
         if idx.size == 0:
@@ -562,14 +545,20 @@ def batch_maxima(q: int, tol: float = 1e-9) -> tuple[list[tuple[LValueRecord, bo
         mids = abs_mid[idx]
         top = float(mids.max())
         cands = idx[mids >= top - 2.0 * (2.0 * sp.env + 2.0 * _EPS * top)].tolist()
-        # over the candidate classes, the smallest member: (its index,
-        # whether it is the kept entry's conjugate, that entry)
-        i, conj, at = min(min((j, False, k), (conjugate_index(sp.g, j), True, k))
-                          for j, k in zip(sp.index[cands].tolist(), cands))
-        s = complex(sp.spec[at])
-        sums.append(s.conjugate() if conj else s)
-        odd.append(bool(sp.odd[at]))
-        best.append(i)
-        ambiguous.append(len(cands) > 1)
-    records = _records(sp, np.array(sums), np.array(best), np.array(odd))
-    return list(zip(records, ambiguous)), 2 * sp.spec.size - int(sp.real.sum())
+        # over the candidate classes, the smallest member: (its index, the
+        # kept entry of its class)
+        i, at = min(min((j, k), (conjugate_index(sp.g, j), k))
+                    for j, k in zip(sp.index[cands].tolist(), cands))
+        picks.append((i, [at] + [k for k in cands if k != at]))
+    # one record pass over every candidate class, each parity's argmax first
+    flat = [k for _, group in picks for k in group]
+    records, maxima = iter(_records(sp, sp.spec[flat], sp.index[flat], sp.odd[flat], tol)), []
+    for i, group in picks:
+        rec, *others = islice(records, len(group))
+        if others:      # fields 6, 7 are |L|'s mid and radius, 8, 9 the excess's
+            abs_rad, ex_rad = (_cover(*rec[f:f + 2], [o[f:f + 2] for o in others]) for f in (6, 8))
+            rec = rec._replace(abs_rad=abs_rad, excess_rad=ex_rad)
+            if not abs_rad <= tol:
+                raise ToleranceError(tol, abs_rad, q)
+        maxima.append((rec._replace(index=i), bool(others)))
+    return maxima, 2 * sp.spec.size - int(sp.real.sum())

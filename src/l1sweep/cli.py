@@ -1,11 +1,12 @@
 """Command-line front end.
 
-A `sweep` row is the `lvalue --q Q --index I` report of its argmax I.
+A `sweep` row is the `lvalue --q Q --index I` report of its argmax I,
+its radius widened when the row is ambiguous.
 
 Exit codes: 0 success with nothing violated; 1 usage or I/O error, an
 out-of-range q, --qmax, --grid or --threads, a row file to resume that another
-run wrote, an --out file that is not a row file, or a tolerance the
-coefficients cannot attain, each with an error message; 2 a theorem
+run wrote, an --out file that is not a row file, or a tol below a record's
+|L| radius, each with an error message; 2 a theorem
 exception, an indeterminate verdict (from its first evaluation: tol
 changes no computed value, so nothing is retried), or a failed lemma
 check.
@@ -40,9 +41,9 @@ def _build_parser() -> _Parser:
     s.add_argument("--qmax", type=int, required=True)
     s.add_argument("--tol", type=float, default=1e-9,
                    help="absolute tolerance per L-value (default 1e-9): every "
-                        "coefficient radius over sqrt(q) must be at most "
-                        "tol/(2 phi(q)); it changes no computed value, only which "
-                        "conductors are refused")
+                        "reported |L(1,chi)| radius must be at most tol; it "
+                        "changes no computed value, only which conductors are "
+                        "refused")
     s.add_argument("--threads", type=int, default=1,
                    help="worker processes (default 1)")
     s.add_argument("--out", required=True, help="row file path")

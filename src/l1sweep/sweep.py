@@ -77,11 +77,11 @@ class SweepSummary:
     def tolerance_floor(self) -> list[int]:
         """Conductors with an indeterminate row, in ascending order.
 
-        tol changes no computed value: whatever tol is, the coefficients x
-        carry the same midpoints and the same radii, which sit at the
-        double-precision floor, and tol only decides which conductors are
-        refused with ToleranceError.  So no rerun at a smaller tol can
-        decide these rows; they stay among the exceptions.
+        tol changes no computed value: whatever tol is, the records carry
+        the same midpoints and radii, at the double-precision floor, and tol
+        only refuses, with ToleranceError, a conductor with a record whose
+        |L| radius exceeds it.  So no rerun at a smaller tol can decide
+        these rows; they stay among the exceptions.
         """
         return sorted({r.q for r in self.exceptions if r.verdict == "indeterminate"})
 

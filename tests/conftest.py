@@ -1,5 +1,6 @@
-"""Shared fixtures, the acceptance-criteria summary hook, and the full
-spectrum that a real transform's half determines."""
+"""Shared fixtures, the acceptance-criteria summary hook, the full
+spectrum that a real transform's half determines, and the radius sum of
+per-entry radii that `character_sums` and `fold` take."""
 
 import numpy as np
 import pytest
@@ -35,3 +36,11 @@ def full_spectrum(shape, half):
     half = half.reshape(rest + (n // 2 + 1,))
     neg = half[np.ix_(*(-np.arange(m) % m for m in rest))]
     return np.concatenate([half, np.conj(neg[..., n - n // 2 - 1:0:-1])], axis=-1).ravel()
+
+
+def radius_sum(rads):
+    """An upper bound on the sum of the per-entry radii `rads`: a float sum
+    of n nonnegative terms, in any order, is at least (1 - (n - 1)u) times
+    the exact sum, so scaling it by 1 + 2nu leaves an upper bound after the
+    product's own rounding."""
+    return float(np.sum(rads)) * (1.0 + 2.0 * rads.size * 2.0 ** -53)

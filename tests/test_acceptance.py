@@ -19,7 +19,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from conftest import full_spectrum, record_criterion
+from conftest import full_spectrum, radius_sum, record_criterion
 from l1sweep.arith import unit_group, units
 from l1sweep.batch import (batch_maxima, build_coefficients, character_sums,
                            direct_sum, l_values)
@@ -151,7 +151,7 @@ def test_criterion_5_dft_equals_direct_and_reference():
     for q in range(3, 201):
         g = unit_group(q)
         coeffs = build_coefficients(q, 1e-9 / (2 * g.phi))
-        half, env = character_sums(g.orders, coeffs.mids, coeffs.rads)
+        half, env = character_sums(g.orders, coeffs.mids, radius_sum(coeffs.rads))
         spec = full_spectrum(g.orders, half)
         for i, chi in enumerate(enumerate_characters(g)):
             d = direct_sum(g, coeffs, chi)
@@ -163,7 +163,7 @@ def test_criterion_5_dft_equals_direct_and_reference():
     for q in (16, 27, 97):
         g = unit_group(q)
         coeffs = build_coefficients(q, 1e-12)
-        half, env = character_sums(g.orders, coeffs.mids, coeffs.rads)
+        half, env = character_sums(g.orders, coeffs.mids, radius_sum(coeffs.rads))
         spec = full_spectrum(g.orders, half)
         us = [int(n) for n in units(q)]
         psi = {n: mp.digamma(mp.mpf(n) / q) for n in us}
@@ -194,10 +194,11 @@ def test_criterion_6_gauss_sum_moduli_to_300():
         c, s = roots_of_unity(q)
         # the transform of the complex e(n/q) is that of its real part plus
         # i times that of its imaginary part, each part's error at most
-        # ROOT_RAD; the sum's own rounding is inside the 4 eps slack
-        rads = np.full(len(us), ROOT_RAD)
-        re, env_re = character_sums(g.orders, c[us], rads)
-        im, env_im = character_sums(g.orders, s[us], rads)
+        # ROOT_RAD, so their radius sum is len(us) ROOT_RAD, exact; the
+        # sum's own rounding is inside the 4 eps slack
+        rad = len(us) * ROOT_RAD
+        re, env_re = character_sums(g.orders, c[us], rad)
+        im, env_im = character_sums(g.orders, s[us], rad)
         spec = full_spectrum(g.orders, re) + 1j * full_spectrum(g.orders, im)
         env = env_re + env_im
         moduli = np.abs(spec[prim])

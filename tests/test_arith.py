@@ -115,6 +115,16 @@ def test_unit_group_deterministic():
     assert np.array_equal(a.index, b.index)
 
 
+def test_unit_group_builds_half_of_axis_0():
+    # unit_group builds only the units whose axis-0 exponent is below half
+    # that axis's order, lattice[:phi // 2]; the full lattice is built on
+    # its first read
+    for q in list(range(3, 3001)) + [999999, 1000000, 1000003, 1999995, 1999998, 2000000]:
+        g = unit_group(q)
+        assert "lattice" not in vars(g) and g.half.size == g.phi // 2, q
+        assert np.array_equal(g.half, g.lattice[:g.phi // 2]), q
+
+
 def test_unit_group_index_is_int32():
     # positions are below phi(q) < 2^31; half the bytes of an int64 index
     g = unit_group(999999)

@@ -9,12 +9,13 @@ lengths that reach each of pocketfft's real and complex kernels.
 
 import math
 import sys
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from conftest import full_spectrum
+from conftest import full_spectrum, radius_sum
 from l1sweep import arith
 from l1sweep.arith import unit_group, units
 from l1sweep.ball import Ball, ComplexBall
@@ -86,14 +87,14 @@ def test_transform_indicator_vectors():
     # indicator of n = 1: every character sum is exactly 1
     vals = np.zeros(n_units)
     vals[0] = 1.0  # the lattice starts at the zero exponent, n=1
-    spec, env = character_sums(g.orders, vals, np.zeros(n_units))
+    spec, env = character_sums(g.orders, vals, 0.0)
     assert np.allclose(spec, 1.0, atol=1e-12)
     # indicator of n0: sums enumerate chi(n0)
     chars = enumerate_characters(g)
     for pos, n0 in ((3, int(us[3])), (7, int(us[7]))):
         vals = np.zeros(n_units)
         vals[pos] = 1.0
-        half, env = character_sums(g.orders, vals, np.zeros(n_units))
+        half, env = character_sums(g.orders, vals, 0.0)
         spec = full_spectrum(g.orders, half)
         for i, chi in enumerate(chars):
             want = chi_value(chi, n0)
@@ -186,6 +187,26 @@ def test_spectrum_needs_no_dlog_matrix(monkeypatch):
     assert factored.count(999) <= 2
 
 
+def test_spectrum_builds_half_the_lattice(monkeypatch):
+    # the coefficients read only the first half of axis 0 of the unit
+    # lattice, the half unit_group builds: neither the full lattice nor the
+    # residue index is built on the production path
+    built = []
+    original = arith.unit_group
+
+    def kept(q):
+        built.append(original(q))
+        return built[-1]
+
+    _patch_everywhere(monkeypatch, original, kept)
+    qs = (3, 12, 96, 144, 996, 999, 4096, 99999)
+    for q in qs:
+        batch_maxima(q)
+        l_values(q)
+    assert [g.q for g in built] == [q for q in qs for _ in range(2)]
+    assert not any({"lattice", "index"} & set(vars(g)) for g in built)
+
+
 def test_spectrum_builds_no_residue_index(monkeypatch):
     # the length-q residue index serves only the discrete logs; q = 996
     # folds both its order-2 axes, q = 999 none
@@ -203,7 +224,7 @@ def test_spectrum_builds_no_residue_index(monkeypatch):
 def test_no_spectrum_without_primitive_characters(monkeypatch):
     # q = 2 mod 4 has no primitive character: no unit group, no
     # coefficients, no transform
-    def no_coefficients(g, tol):
+    def no_coefficients(g):
         raise AssertionError("coefficients built for a conductor with no primitive character")
 
     def no_unit_group(q):
@@ -245,7 +266,7 @@ def test_l_values_match_scalar_path(q, monkeypatch):
         return values(q, s, env, t, t_env)
 
     monkeypatch.setattr(batch, "_values", kept)
-    sp = batch._spectrum(q, 1e-9, phase=True)
+    sp = batch._spectrum(q, phase=True)
     env, t_env, sums = sp.env, phase["t_env"], sp.spec.tolist()
     s1 = max(abs(s.real) + abs(s.imag) for s in sums)
     t1 = max(abs(t.real) + abs(t.imag) for t in phase["t"])
@@ -279,7 +300,7 @@ def test_records_build_balls_only_when_read(monkeypatch):
         post_init(ball)
 
     monkeypatch.setattr(Ball, "__post_init__", counted)
-    batch._spectrum(249, 1e-9)
+    batch._spectrum(249)
     per_conductor = len(built)      # the (1/3) log q ball
     built.clear()
     recs = l_values(249)
@@ -315,7 +336,7 @@ def test_batch_maxima_builds_no_ball(monkeypatch):
     for q in (9, 96, 249, 996, 4096):
         batch_maxima(q)                 # warm-up
         built.clear()
-        batch._spectrum(q, 1e-9)
+        batch._spectrum(q)
         per_conductor = len(built)
         built.clear()
         maxima, _ = batch_maxima(q)
@@ -339,7 +360,7 @@ def test_character_sums_bit_identical_to_conjugate_copies():
         us = g.lattice
         vals = rng.standard_normal(len(us))
         vals[::3] = 0.0                     # some zero inputs
-        spec, _ = character_sums(g.orders, vals, np.zeros(len(us)))
+        spec, _ = character_sums(g.orders, vals, 0.0)
         want = _character_sums_reference(g, us, vals)
         assert np.array_equal(spec.view(np.int64), want.view(np.int64)), q
 
@@ -351,7 +372,7 @@ def test_lattice_coefficients_bit_identical_to_ascending_scatter():
     for q in list(range(3, 1000, 3)) + [98613]:
         g = unit_group(q)
         c = build_coefficients(q, 1e-9 / (2 * g.phi))
-        spec, _ = character_sums(g.orders, c.mids, c.rads)
+        spec, _ = character_sums(g.orders, c.mids, radius_sum(c.rads))
         us = units(q)
         want = _character_sums_reference(g, us, -digamma_points(us / float(q))[0] / q)
         assert np.array_equal(spec.view(np.int64), want.view(np.int64)), q
@@ -379,7 +400,7 @@ def test_dft_direct_equivalence_spot():
     for q in (7, 16, 24, 45, 59, 60):
         g = unit_group(q)
         c = build_coefficients(q, 1e-9 / (2 * g.phi))
-        half, env = character_sums(g.orders, c.mids, c.rads)
+        half, env = character_sums(g.orders, c.mids, radius_sum(c.rads))
         spec = full_spectrum(g.orders, half)
         for i, chi in enumerate(enumerate_characters(g)):
             d = direct_sum(g, c, chi)
@@ -428,7 +449,7 @@ def test_transform_against_exact_dft_reference():
     rng = np.random.default_rng(17)
     for shape in [unit_group(q).orders for q in (16, 27, 59, 97)] + KERNEL_SHAPES:
         vals = rng.standard_normal(math.prod(shape))
-        spec, env = character_sums(shape, vals, np.zeros(vals.size))
+        spec, env = character_sums(shape, vals, 0.0)
         exact = _exact_half_dft(shape, vals)
         assert spec.size == exact.size, shape
         for s, e in zip(spec, exact):
@@ -444,7 +465,7 @@ def test_fft_envelope_has_headroom_on_small_sizes():
     for shape in [unit_group(q).orders for q in (5, 7, 11, 13, 23, 29, 37, 47, 53, 61)] \
             + KERNEL_SHAPES:
         vals = rng.standard_normal(math.prod(shape))
-        spec, env = character_sums(shape, vals, np.zeros(vals.size))
+        spec, env = character_sums(shape, vals, 0.0)
         for s, e in zip(spec, _exact_half_dft(shape, vals)):
             worst_ratio = max(worst_ratio, abs(complex(e) - s) / env)
     assert worst_ratio < 0.5, worst_ratio
@@ -501,6 +522,45 @@ def test_batch_maxima_agree_with_records():
             assert rec.index == best.index or rec.excess.overlaps(best.excess)
 
 
+# the ambiguous rows of sweep(3, 20000): (q, parity)
+AMBIGUOUS_ROWS = [(96, "odd"), (144, "odd"), (180, "odd"), (360, "odd"), (819, "odd"),
+                  (1260, "odd")]
+
+
+def _upper(mid, rad):
+    return Fraction(mid) + Fraction(rad)
+
+
+def test_argmax_record_covers_every_record_of_its_parity():
+    # each row's |L| and excess upper ends, compared exactly, reach those
+    # of every l_values record of its parity, over 3 | q <= 3000, which
+    # holds every ambiguous row of 3..2e4
+    ambiguous = []
+    for q in range(3, 3001, 3):
+        records = l_values(q)
+        for rec, amb in batch_maxima(q)[0]:
+            same = [r for r in records if r.parity == rec.parity]
+            for ball in ((lambda r: (r.abs_mid, r.abs_rad)), (lambda r: (r.excess_mid, r.excess_rad))):
+                mid, rad = ball(rec)
+                # only upper ends within 1e-12 in floats can reach the row's
+                near = [ball(r) for r in same if sum(ball(r)) >= mid + rad - 1e-12]
+                assert all(_upper(mid, rad) >= _upper(*b) for b in near), (q, rec.parity)
+            if amb:
+                ambiguous.append((q, rec.parity))
+    assert ambiguous == AMBIGUOUS_ROWS
+    # q = 144 odd: the argmax, index 7, is not the class with the largest
+    # midpoint, index 32, and its own record's upper end is below that
+    # class's; the row's widened ball reaches it
+    (rec, amb), = [m for m in batch_maxima(144)[0] if m[0].parity == "odd"]
+    records = {r.index: r for r in l_values(144)}
+    own, top = records[7], records[32]
+    assert rec.index == 7 and amb and own.abs_mid < top.abs_mid
+    assert own.abs_mid + own.abs_rad < top.abs_mid + top.abs_rad
+    assert _upper(rec.abs_mid, rec.abs_rad) >= _upper(top.abs_mid, top.abs_rad)
+    assert (rec.abs_mid, rec.excess_mid) == (own.abs_mid, own.excess_mid)
+    assert rec.abs_rad > own.abs_rad and rec.excess_rad > own.excess_rad
+
+
 def test_batch_maxima_ambiguity_skips_conjugate_pairs():
     # x(a) is real, so chi and its conjugate have the same |L|: only a
     # candidate outside the argmax's conjugate pair makes a row ambiguous
@@ -535,7 +595,7 @@ def test_fold_keeps_every_primitive_character():
         if q % 4 == 2:
             continue
         g = unit_group(q)
-        shape, values, _, exps = batch.fold(g, np.zeros(g.phi), np.zeros(g.phi))
+        shape, values, _, exps = batch.fold(g, np.zeros(g.phi), 0.0)
         index = np.ravel_multi_index(np.ix_(*exps), g.orders).ravel()
         prim = primitive_mask(g)
         assert int(prim[index].sum()) == int(prim.sum()), q
@@ -553,15 +613,15 @@ def test_folded_sums_agree_with_the_unfolded_transform():
         if q % 4 == 2:
             continue
         g = unit_group(q)
-        x, r = batch._log_sine_coefficients(g, 1e-9)
-        shape, values, rads, exps = batch.fold(g, x, r)
-        half, env = character_sums(shape, values, rads)
+        x, r = batch._log_sine_coefficients(g)
+        shape, values, rad, exps = batch.fold(g, x, r)
+        half, env = character_sums(shape, values, rad)
         full, full_env = character_sums(g.orders, x, r)
         full = full_spectrum(g.orders, full)
         index = np.ravel_multi_index(np.ix_(*exps), g.orders).ravel()
         dev = full_spectrum(shape, half) - full[index]
         assert max(np.abs(dev.real).max(), np.abs(dev.imag).max()) <= env + full_env, q
-        sp = batch._spectrum(q, 1e-9)
+        sp = batch._spectrum(q)
         half_index = index.reshape(shape)[..., :shape[-1] // 2 + 1].ravel()
         conj = conjugate_index(g, half_index)
         first = (half_index <= conj) | ~np.isin(conj, half_index)
@@ -580,7 +640,7 @@ def test_spectrum_holds_each_conjugate_class_once():
     # no kept index is another's conjugate, `real` marks the self-conjugate
     # ones, and the count of batch_maxima counts both members of a class
     for q in [45, 63, 96, 4096, 9999, 999999] + [q for q in range(3, 3001, 3) if q % 4 != 2]:
-        sp = batch._spectrum(q, 1e-9)
+        sp = batch._spectrum(q)
         conj = conjugate_index(sp.g, sp.index)
         assert np.array_equal(np.union1d(sp.index, conj),
                               np.flatnonzero(primitive_mask(sp.g))), q
@@ -599,8 +659,8 @@ def test_rfft_half_agrees_with_the_complex_transform():
             continue
         g = unit_group(q)
         c = build_coefficients(q, 1e-9 / (2 * g.phi))
-        shape, values, rads, _ = batch.fold(g, c.mids, c.rads)
-        half, env = character_sums(shape, values, rads)
+        shape, values, rad, _ = batch.fold(g, c.mids, radius_sum(c.rads))
+        half, env = character_sums(shape, values, rad)
         lattice = np.conj(values.astype(np.complex128)).reshape(shape)
         full = np.conj(np.fft.fftn(lattice))[..., :shape[-1] // 2 + 1].ravel()
         dev = half - full
@@ -615,7 +675,7 @@ def test_half_masks_equal_the_gathered_full_masks():
         if q % 4 == 2:
             continue
         g = unit_group(q)
-        shape, _, _, exps = batch.fold(g, np.zeros(g.phi), np.zeros(g.phi))
+        shape, _, _, exps = batch.fold(g, np.zeros(g.phi), 0.0)
         half = batch._half(exps)
         index = np.ravel_multi_index(np.ix_(*half), g.orders).ravel()
         assert index.size == math.prod(shape[:-1]) * (shape[-1] // 2 + 1), q
@@ -698,7 +758,7 @@ def test_single_point_folds_match_closed_forms(q, want, parity):
     # every axis folds, so the lattice is one 1-d point: S(chi) is the
     # signed sum of the coefficients, and |L(1, chi)| = |S(chi)|/sqrt(q)
     # _spectrum keeps primitive characters only: the one point is primitive
-    sp = batch._spectrum(q, 1e-9)
+    sp = batch._spectrum(q)
     g, spec, env, index, odd, real = sp[:6]
     assert spec.shape == index.shape == odd.shape == real.shape == (1,) and real[0]
     assert index.tolist() == [g.phi - 1]

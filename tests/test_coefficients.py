@@ -1,6 +1,8 @@
 """The elementary coefficients x and w of the modulus transform: their
-stated per-entry radii against 40-digit mpmath, their tolerance contract,
-and the digamma direct sum as an independent witness of the records.
+stated per-entry radii against 40-digit mpmath, the one radius sum per
+lattice that bounds them, the tolerance contract on the reported |L|
+radius, and the digamma direct sum as an independent witness of the
+records.
 
 x(a) = log(2 sin(pi a'/q)) + pi (a/q - 1/2) with a' = min(a, q - a), and
 w(a) = cos(2 pi a/q) + sin(2 pi a/q) (see the `batch` module docstring).
@@ -14,13 +16,14 @@ import pytest
 
 from l1sweep import batch
 from l1sweep.arith import unit_group
-from l1sweep.batch import build_coefficients, direct_sum, l_values
+from l1sweep.batch import batch_maxima, build_coefficients, direct_sum, l_values
 from l1sweep.characters import count_primitive, enumerate_characters
 from l1sweep.special import ToleranceError
 
 mp.mp.dps = 40
 
 BOUND_QS = (3, 4, 12, 999, 98613, 999999, 1999995)
+U = 2.0 ** -53
 
 
 def _x(a, q):
@@ -57,6 +60,27 @@ def _folded_terms(g):
     return [(p.ravel(), s) for p, s in terms]
 
 
+def _entry_radii(x, w):
+    """The per-entry radii the `batch` docstrings state: u (17 + 6 |x(a)|)
+    for x and 25u for w."""
+    return np.abs(x) * (6.0 * U) + 17.0 * U, np.full(w.size, 25.0 * U)
+
+
+def _folded_entry_radii(g, mids, rads):
+    """`batch.fold` on per-entry radii: each folded entry b has the radius
+    (r0 + r1 + 2u |b|)(1 + 8u).  Returns the folded midpoints and radii."""
+    orders = list(g.orders)
+    mids, rads = mids.reshape(orders), rads.reshape(orders)
+    for axis in reversed([i for i, c in enumerate(g.components)
+                          if c.order == 2 and c.modulus in (3, 4)]):
+        at = (slice(None),) * axis
+        b = mids[at + (0,)] - mids[at + (1,)]
+        rads = (rads[at + (0,)] + rads[at + (1,)] + 2.0 * U * np.abs(b)) * (1.0 + 8.0 * U)
+        mids = b
+        del orders[axis]
+    return mids.ravel(), rads.ravel()
+
+
 @pytest.mark.parametrize("q", BOUND_QS)
 def test_coefficient_radii_against_mpmath(q):
     # each entry of x and w lies within its stated radius of the 40-digit
@@ -64,9 +88,9 @@ def test_coefficient_radii_against_mpmath(q):
     # units nearest q/2, and at random units; so does each folded
     # difference, with the radius fold states
     g = unit_group(q)
-    x, xr = batch._log_sine_coefficients(g, 1.0)
-    w, wr = batch._phase_coefficients(g, 1.0)
-    assert (wr == 25.0 * 2.0 ** -53).all()
+    x, _ = batch._log_sine_coefficients(g)
+    w, _ = batch._phase_coefficients(g)
+    xr, wr = _entry_radii(x, w)
     worst = 0.0
     for k in _extreme_positions(g):
         a = int(g.lattice[k])
@@ -75,7 +99,8 @@ def test_coefficient_radii_against_mpmath(q):
             assert err <= rads[k], (q, a, float(err), rads[k])
             worst = max(worst, float(err / mp.mpf(float(rads[k]))))
     for mids, rads, value in ((x, xr, _x), (w, wr, _w)):
-        _, b, br, _ = batch.fold(g, mids, rads)
+        b, br = _folded_entry_radii(g, mids, rads)
+        assert np.array_equal(b, batch.fold(g, mids, 0.0)[1])
         terms = _folded_terms(g)
         picks = {0, b.size - 1} | set(np.random.default_rng(1).integers(0, b.size, 20).tolist())
         for j in sorted(picks):
@@ -86,29 +111,48 @@ def test_coefficient_radii_against_mpmath(q):
     assert worst < 0.5, worst
 
 
-@pytest.mark.parametrize("builder", [batch._log_sine_coefficients, batch._phase_coefficients])
-def test_elementary_coefficients_tolerance_contract(builder):
-    # every entry radius over sqrt(q) is at most tol/(2 phi); a tol below
-    # that floor is refused with the conductor named, and so is NaN
-    g = unit_group(1000)
-    _, rads = builder(g, 1e-9)
-    floor = 2 * g.phi * float(rads.max()) / math.sqrt(g.q)
-    assert floor <= 1e-9
-    builder(g, 2 * floor)
-    with pytest.raises(ToleranceError) as exc:
-        builder(g, floor / 2)
-    assert exc.value.q == 1000 and exc.value.achieved > exc.value.requested
-    with pytest.raises(ToleranceError):
-        builder(g, math.nan)
+def test_radius_sum_bounds_the_entry_radii():
+    # the one radius per lattice that the builders and the fold carry is
+    # at least the math.fsum of the per-entry radii they stand for, and
+    # within 1e-12 of it relative: an upper bound, and no looser
+    for q in list(range(3, 3001, 3)) + [99999, 999999, 1999995]:
+        g = unit_group(q)
+        (x, x_rad), (w, w_rad) = batch._log_sine_coefficients(g), batch._phase_coefficients(g)
+        assert w_rad == 25.0 * U * g.phi, q
+        for mids, rad, rads in zip((x, w), (x_rad, w_rad), _entry_radii(x, w)):
+            for got, want in ((rad, math.fsum(rads)),
+                              (batch.fold(g, mids, rad)[2],
+                               math.fsum(_folded_entry_radii(g, mids, rads)[1]))):
+                assert want <= got <= want * (1.0 + 1e-12), (q, got, want)
+
+
+def test_tol_bounds_the_reported_radius():
+    # tol is compared with the |L| radius of each record a conductor
+    # reports: the largest is the floor, which passes, and half of it, 0,
+    # or NaN is refused with the conductor named; at q = 144 the odd row
+    # reports its widened radius, above that of every l_values record
+    for q in (144, 1000):
+        records = l_values(q)
+        floor = max(r.abs_rad for r in records)
+        assert l_values(q, floor) == records
+        maxima = batch_maxima(q)
+        row_floor = max(r.abs_rad for r, _ in maxima[0])
+        assert batch_maxima(q, row_floor) == maxima
+        assert (row_floor > floor) == (q == 144)
+        for run, at in ((l_values, floor), (batch_maxima, row_floor)):
+            for tol in (at / 2, 0.0, math.nan):
+                with pytest.raises(ToleranceError) as exc:
+                    run(q, tol)
+                assert exc.value.q == q and exc.value.achieved <= at, (run, tol)
+                assert not exc.value.achieved <= tol, (run, tol)
 
 
 def test_default_tol_reaches_the_paper_range():
-    # the floor 2 phi max(r)/sqrt(q) is far below the default tol at the
-    # top of the range, where the digamma coefficients were refused
+    # the reported |L| radii, about 1e-10 at the top of the range, are far
+    # below the default tol, where the digamma coefficients were refused
     for q in (300003, 999999, 1999995):
-        g = unit_group(q)
-        _, rads = batch._log_sine_coefficients(g, 1e-9)
-        assert 2 * g.phi * float(rads.max()) / math.sqrt(q) < 1e-10, q
+        maxima, _ = batch_maxima(q)
+        assert len(maxima) == 2 and all(r.abs_rad < 2e-10 for r, _ in maxima), q
 
 
 def test_digamma_direct_sum_witnesses_every_record():
