@@ -126,6 +126,33 @@ def test_radius_sum_bounds_the_entry_radii():
                 assert want <= got <= want * (1.0 + 1e-12), (q, got, want)
 
 
+@pytest.mark.parametrize("builder", [batch._log_sine_coefficients, batch._phase_coefficients])
+def test_elementary_coefficients_tolerance_contract(builder):
+    # a builder's folded radius sum R reaches the radius it feeds through
+    # the transform's envelope: x feeds each |L| radius, at least 2R/sqrt(q),
+    # so a tol of 2R/sqrt(q) is refused with the conductor named; w feeds
+    # the value radius, at least |S| R/q, which tol does not bound, so the
+    # largest |L| radius passes as tol though the value radius exceeds it
+    for q in (999, 1000):
+        g = unit_group(q)
+        _, _, rad, _ = batch.fold(g, *builder(g))
+        records = l_values(q)
+        floor = max(r.abs_rad for r in records)
+        assert 0.0 < rad and floor <= 1e-9, (q, rad, floor)
+        if builder is batch._log_sine_coefficients:
+            at = 2.0 * rad / math.sqrt(q)
+            assert all(r.abs_rad > at for r in records), q
+            with pytest.raises(ToleranceError) as exc:
+                l_values(q, at)
+            assert exc.value.q == q and exc.value.achieved > exc.value.requested
+        else:
+            low = max(r.abs_mid - r.abs_rad for r in records) * rad / math.sqrt(q)
+            assert all(r.env >= low for r in records) and records[0].env > floor, q
+            assert l_values(q, floor) == records
+        with pytest.raises(ToleranceError):
+            l_values(q, math.nan)
+
+
 def test_tol_bounds_the_reported_radius():
     # tol is compared with the |L| radius of each record a conductor
     # reports: the largest is the floor, which passes, and half of it, 0,
