@@ -4,14 +4,21 @@ The theorem fixes the constants 0.368296 (even chi) and 0.838374 (odd
 chi); they are stored as exact decimal literals, not recomputed.  The
 sharper per-conductor functions C_even(q), C_odd(q) and their limits are
 provided alongside for the tabulated comparisons.
+
+`excess_margin` is the theorem check itself: the margin C - excess and
+its three-valued verdict, computed on plain floats with the rounding of
+the Ball operations it stands for.  A sweep row and a `check_theorem`
+report both take their margin from it, and neither builds a Ball.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from functools import partial
 from typing import NamedTuple
 
-from .ball import Ball, PI, _out
+from .ball import _EPS, _SLOP, _TINY, Ball, PI
 from .batch import LValueRecord
 
 
@@ -66,50 +73,84 @@ def c_odd_limit() -> Ball:
 class BoundReport(NamedTuple):
     """Outcome of comparing one L-value record against the theorem.
 
-    `margin` and `verdict` come from `excess_margin`, the formula behind
-    the sweep's row margins, so a report and a row agree to the bit."""
+    Every field is a plain int, str, float or bool, so a report is one
+    tuple.  `margin_mid`, `margin_rad` and `verdict` come from
+    `excess_margin`, the formula behind the sweep's row margins, so a
+    report and a row agree to the bit.  The balls are built only when a
+    property is read: `margin` is Ball(margin_mid, margin_rad) and
+    `constant` is `theorem_constant(parity)` itself.
+    """
 
     q: int
     parity: str
-    constant: Ball           # the theorem constant for this parity
-    margin: Ball             # constant - (|L| - (1/3) log q)
+    margin_mid: float        # constant - (|L| - (1/3) log q), outward rounded
+    margin_rad: float
     verdict: str             # "pass" | "fail" | "indeterminate"
     theorem_applies: bool    # 3 | q, so Theorem constants formally cover it
 
+    @property
+    def constant(self) -> Ball:
+        return theorem_constant(self.parity)
 
-def _verdict(margin: Ball) -> str:
-    if margin.is_positive():
-        return "pass"
-    if margin.is_negative():
-        return "fail"
-    return "indeterminate"
+    @property
+    def margin(self) -> Ball:
+        return Ball(self.margin_mid, self.margin_rad)
+
+
+# BoundReport._make without its per-report Python call and length check:
+# `check_theorem` passes exactly the six fields
+_new_report = partial(tuple.__new__, BoundReport)
+
+# parity -> (mid, rad) of its theorem constant, the floats `excess_margin` reads
+_THEOREM = {"even": (THEOREM_EVEN.mid, THEOREM_EVEN.rad),
+            "odd": (THEOREM_ODD.mid, THEOREM_ODD.rad)}
 
 
 def excess_margin(excess_mid: float, excess_rad: float,
-                  parity: str) -> tuple[Ball, str]:
-    """Margin C - excess and its verdict, for the excess ball
-    (excess_mid, excess_rad) of |L| - (1/3) log q and the theorem
-    constant C of `parity`.
+                  parity: str) -> tuple[float, float, str]:
+    """(margin_mid, margin_rad, verdict) of the margin C - excess, for the
+    excess ball (excess_mid, excess_rad) of |L| - (1/3) log q and the
+    theorem constant C of `parity`.
 
     The one margin formula: every sweep row and every `check_theorem`
-    report gets its margin here.  The margin is the only Ball it builds,
-    bit-identical to `theorem_constant(parity) - Ball(excess_mid,
-    excess_rad)`.
+    report gets its margin here.  It builds no Ball: the floats are
+    bit-identical to the midpoint and radius of `theorem_constant(parity)
+    - Ball(excess_mid, excess_rad)`, by the operations of `_out` in their
+    order, and the verdict is "pass" when that ball `is_positive`, "fail"
+    when it `is_negative`, by those of `Ball.lower` and `Ball.upper`, and
+    "indeterminate" otherwise.  Like that expression it raises ValueError
+    on an unknown parity, ArithmeticError on a non-finite midpoint or
+    radius, and ValueError on a negative radius.
     """
-    const = theorem_constant(parity)
-    margin = _out(const.mid - excess_mid, const.rad + excess_rad)
-    return margin, _verdict(margin)
+    try:
+        c_mid, c_rad = _THEOREM[parity]
+    except KeyError:
+        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}") from None
+    mid = c_mid - excess_mid
+    rad = c_rad + excess_rad
+    if not (math.isfinite(mid) and math.isfinite(rad)):
+        raise ArithmeticError("ball operation produced a non-finite value")
+    rad = (rad + abs(mid) * _EPS) * _SLOP + _TINY
+    if not (rad >= 0.0):
+        raise ValueError(f"radius must be non-negative, got {rad}")
+    lo = mid - rad
+    if lo - abs(lo) * _EPS - _TINY > 0.0:
+        return mid, rad, "pass"
+    hi = mid + rad
+    if hi + abs(hi) * _EPS + _TINY < 0.0:
+        return mid, rad, "fail"
+    return mid, rad, "indeterminate"
 
 
 def check_theorem(rec: LValueRecord) -> BoundReport:
     """Three-valued comparison of |L(1,chi)| against (1/3)log q + C, with
     the theorem's constant C for the record's parity.
 
-    The margin is `excess_margin` on the record's `excess_mid` and
-    `excess_rad`, the sweep rows' formula, so it is the one Ball built
-    per record.  The report records whether 3 | q, i.e. whether the
-    theorem formally applies to this conductor.
+    The margin and verdict are one `excess_margin` call on the record's
+    `excess_mid` and `excess_rad`, the sweep rows' formula; no Ball is
+    built.  The report records whether 3 | q, i.e. whether the theorem
+    formally applies to this conductor.
     """
-    margin, verdict = excess_margin(rec.excess_mid, rec.excess_rad, rec.parity)
-    return BoundReport(rec.q, rec.parity, theorem_constant(rec.parity), margin,
-                       verdict, rec.q % 3 == 0)
+    q, parity = rec.q, rec.parity
+    mid, rad, verdict = excess_margin(rec.excess_mid, rec.excess_rad, parity)
+    return _new_report((q, parity, mid, rad, verdict, q % 3 == 0))

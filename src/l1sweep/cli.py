@@ -88,7 +88,7 @@ def _cmd_lvalue(args) -> int:
         print(f"q={r.q} index={r.index} parity={r.parity} conductor={r.q} "
               f"L(1,chi)={r.re:.12f}{r.im:+.12f}i "
               f"|L|={r.abs_mid:.12f}(+/-{r.abs_rad:.1e}) "
-              f"excess={r.excess_mid:+.7f} margin={rep.margin.mid:+.7f} "
+              f"excess={r.excess_mid:+.7f} margin={rep.margin_mid:+.7f} "
               f"verdict={rep.verdict}"
               + ("" if rep.theorem_applies else " [3 does not divide q]"))
         if rep.verdict != "pass":

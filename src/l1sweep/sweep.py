@@ -94,7 +94,7 @@ def _worker(args: tuple[int, float]) -> tuple[list[SweepRow], int]:
     for rec, ambiguous in maxima:
         rep = check_theorem(rec)
         rows.append(SweepRow(q, rec.parity, rec.excess_mid, rec.excess_rad, rec.index,
-                             rep.constant.mid, rep.margin.mid, rep.margin.rad,
+                             rep.constant.mid, rep.margin_mid, rep.margin_rad,
                              rep.verdict, ambiguous))
     return rows, n_prim
 

@@ -308,9 +308,12 @@ def test_records_build_balls_only_when_read(monkeypatch):
     for rec in recs:                # warm-up
         bounds.check_theorem(rec)
     built.clear()
-    for rec in recs:
-        bounds.check_theorem(rec)
-    assert len(built) == len(recs)  # the margin
+    reps = [bounds.check_theorem(rec) for rec in recs]
+    assert len(built) == 0          # the margin is floats
+    assert all(rep.constant is (bounds.THEOREM_EVEN if rep.parity == "even" else
+                                bounds.THEOREM_ODD) for rep in reps)
+    reps[0].margin
+    assert len(built) == 1
     built.clear()
     rec = recs[0]
     rec.value, rec.abs_value, rec.excess

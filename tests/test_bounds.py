@@ -5,9 +5,11 @@ import sys
 
 import mpmath as mp
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from l1sweep import bounds
-from l1sweep.ball import Ball
+from l1sweep.ball import _TINY, Ball, _out
 from l1sweep.batch import l_values
 from l1sweep.bounds import (THEOREM_EVEN, THEOREM_ODD, c_even, c_even_limit,
                             c_odd, c_odd_limit, check_theorem, excess_margin,
@@ -151,13 +153,90 @@ def _hex(b: Ball) -> tuple[str, str]:
     return b.mid.hex(), b.rad.hex()
 
 
+def _ball_margin(excess_mid: float, excess_rad: float, parity: str) -> tuple[str, str, str]:
+    """The margin C - excess as the Ball expression `excess_margin` stands
+    for, with its verdict: the reference its floats are checked against.
+    Ball(excess_mid, excess_rad) refuses a negative radius, so below 0,
+    where C's radius cancels the excess's, it is the `_out` call the
+    subtraction makes."""
+    const = theorem_constant(parity)
+    margin = (const - Ball(excess_mid, excess_rad) if excess_rad >= 0.0 else
+              _out(const.mid - excess_mid, const.rad + excess_rad))
+    verdict = ("pass" if margin.is_positive() else
+               "fail" if margin.is_negative() else "indeterminate")
+    return margin.mid.hex(), margin.rad.hex(), verdict
+
+
+@st.composite
+def _excesses(draw):
+    """(excess_mid, excess_rad, parity): an excess equal to C, within one
+    radius of C, or anywhere in [-20, 20]; radii 0, near _TINY, near the
+    double floor of a record, up to 10, or down to minus C's radius, so
+    that the margin's radius before rounding is 0 or near it."""
+    parity = draw(st.sampled_from(("even", "odd")))
+    const = theorem_constant(parity)
+    rad = draw(st.one_of(st.just(0.0), st.floats(0.0, 1e3 * _TINY), st.floats(0.0, 1e-9),
+                         st.floats(0.0, 10.0), st.just(-const.rad),
+                         st.floats(-1.0, 0.0).map(lambda t: t * const.rad)))
+    c = const.mid
+    mid = draw(st.one_of(st.just(c),
+                         st.floats(-1.0, 1.0).map(lambda t: c + t * rad),
+                         st.floats(-20.0, 20.0)))
+    return mid, rad, parity
+
+
+@given(_excesses())
+@settings(max_examples=2000)
+@example((THEOREM_EVEN.mid, 0.0, "even"))             # margin 0: indeterminate
+@example((THEOREM_ODD.mid, 10.0, "odd"))
+@example((THEOREM_EVEN.mid, _TINY, "even"))
+@example((THEOREM_ODD.mid - 2 * _TINY, _TINY, "odd"))
+@example((THEOREM_EVEN.mid, -THEOREM_EVEN.rad, "even"))  # radius _TINY
+@example((THEOREM_ODD.mid, -THEOREM_ODD.rad, "odd"))
+@example((THEOREM_EVEN.mid + 3.0, 3.0, "even"))        # margin -3 +/- 3
+@example((THEOREM_ODD.mid - 10.0, 10.0, "odd"))
+@example((THEOREM_EVEN.mid - 1e-6, 1e-6, "even"))
+@example((THEOREM_EVEN.mid - 0.5, 1e-12, "even"))     # pass
+@example((THEOREM_ODD.mid + 0.5, 1e-12, "odd"))       # fail
+def test_excess_margin_is_the_ball_expression(case):
+    # the floats and verdict of excess_margin are, to the bit, those of
+    # C - Ball(excess_mid, excess_rad) and its is_positive/is_negative
+    mid, rad, verdict = excess_margin(*case)
+    assert (mid.hex(), rad.hex(), verdict) == _ball_margin(*case)
+
+
+@pytest.mark.parametrize("excess_mid, excess_rad, parity, error", [
+    (0.1, 1e-12, "both", ValueError),
+    (0.1, 1e-12, "", ValueError),
+    (math.nan, 1e-12, "both", ValueError),
+    (math.nan, 1e-12, "even", ArithmeticError),
+    (math.inf, 1e-12, "odd", ArithmeticError),
+    (-math.inf, 1e-12, "even", ArithmeticError),
+    (0.1, math.nan, "odd", ArithmeticError),
+    (0.1, math.inf, "even", ArithmeticError),
+    (0.1, -math.inf, "odd", ArithmeticError),
+    (0.1, -1.0, "even", ValueError),
+    (0.1, -1.0, "odd", ValueError),
+])
+def test_excess_margin_error_contract(excess_mid, excess_rad, parity, error):
+    # an unknown parity, a non-finite excess and a negative margin radius
+    # raise, through the margin formula and through a record's report
+    with pytest.raises(error):
+        excess_margin(excess_mid, excess_rad, parity)
+    rec = l_values(3)[0]._replace(excess_mid=excess_mid, excess_rad=excess_rad,
+                                  parity=parity)
+    with pytest.raises(error):
+        check_theorem(rec)
+
+
 def test_excess_margin_matches_check_theorem(tmp_path):
     # an lvalue report's margin is the sweep row's C - excess to the bit
     for q in (3, 9, 249, 996, 9999):
         for rec in l_values(q):
-            margin, verdict = excess_margin(rec.excess_mid, rec.excess_rad, rec.parity)
+            mid, rad, verdict = excess_margin(rec.excess_mid, rec.excess_rad, rec.parity)
             rep = check_theorem(rec)
-            assert _hex(rep.margin) == _hex(margin), (q, rec.index)
+            assert (rep.margin_mid.hex(), rep.margin_rad.hex()) == (mid.hex(), rad.hex()), \
+                (q, rec.index)
             assert _hex(rep.margin) == _hex(theorem_constant(rec.parity) - rec.excess)
             assert _hex(rep.constant) == _hex(theorem_constant(rec.parity))
             assert rep.verdict == verdict
@@ -167,8 +246,9 @@ def test_excess_margin_matches_check_theorem(tmp_path):
         rows = [r for _, r in _load_resume(fh)]
     assert len(rows) > 900
     for r in rows:
-        margin, verdict = excess_margin(r.excess_mid, r.excess_rad, r.parity)
-        assert (r.margin_mid.hex(), r.margin_rad.hex()) == _hex(margin), (r.q, r.parity)
+        mid, rad, verdict = excess_margin(r.excess_mid, r.excess_rad, r.parity)
+        assert (r.margin_mid.hex(), r.margin_rad.hex()) == (mid.hex(), rad.hex()), \
+            (r.q, r.parity)
         assert r.verdict == verdict
 
 

@@ -1,5 +1,7 @@
 """CLI surface: subcommands, output shapes, exit codes."""
 
+import hashlib
+
 import pytest
 
 from l1sweep import batch
@@ -11,6 +13,18 @@ def test_lvalue_single_conductor(capsys):
     out = capsys.readouterr().out
     assert "0.604599788078" in out
     assert "parity=odd" in out and "verdict=pass" in out
+
+
+# sha256 of the standard output of `l1sweep lvalue --q Q`: every record's
+# line, its margin and verdict included, pinned so that a change to how a
+# report is computed cannot change a printed byte
+@pytest.mark.parametrize("q, digest", [
+    (249, "e629090b9c846e27c7a35c622ffe7610bf0ff546798442666eac108d6d584f40"),
+    (9999, "0a1b72b090f5ccf608a47578c879fe85a711ed95696e6a503f13a30b0496e689"),
+])
+def test_lvalue_stdout_digest(q, digest, capsys):
+    assert main(["lvalue", "--q", str(q)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_lvalue_no_primitive(capsys):
