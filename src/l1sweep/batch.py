@@ -16,18 +16,21 @@ conj(S(chi)) / q for both parities.
 
 x and w are evaluated on the units laid out on the exponent lattice of
 the unit group, on half of them: -1 is a fixed shift of the lattice, and
-x(-a) and w(-a) follow from the same sine, logarithm and cosine as x(a)
-and w(a).  The lattice is transformed by one FFT per cyclic component,
-which evaluates sum_a x(a) chi(a) for every character at once in
-O(phi(q) log q).  Before the transform the lattice is folded on the
+x(-a) and w(-a) follow from the same tangent, logarithm, cosine and sine
+as x(a) and w(a).  The lattice is transformed by one FFT per cyclic
+component, which evaluates sum_a x(a) chi(a) for every character at once
+in O(phi(q) log q).  Before the transform the lattice is folded on the
 order-2 axis of the part 3 (3 || q) and of the part 4 (4 || q), where
 only the exponent 1 gives primitive characters: the difference of the
 axis's two halves is transformed instead, so those conductors transform
 a half or a quarter of the lattice.  x and w are real, so the folded
-lattice goes through one real-input transform (rfftn), which computes
-only the half spectrum, exponents 0..n//2 on its last axis: every other
+lattice goes through one real-input transform, which computes only
+rfftn's half spectrum, exponents 0..n//2 on its last axis: every other
 character is the conjugate of one in that half, with the conjugate sums
-and the same |L(1,chi)|.  numpy's pocketfft supplies mixed-radix and
+and the same |L(1,chi)|.  That transform is rfftn itself, or, when the
+last axis has even length and a prime factor above _PACK_PRIME, a
+complex FFT of half that length with an O(n) unpack, in rfftn's layout
+(`character_sums`).  numpy's pocketfft supplies mixed-radix and
 Bluestein kernels for arbitrary axis lengths; rigor is preserved by
 computing on midpoints and adding a single certified error envelope per
 output (roundoff-growth bound plus one radius sum per lattice, see
@@ -52,7 +55,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import UnitGroupStructure, dlog_matrix, unit_group
+from .arith import UnitGroupStructure, dlog_matrix, factorize, unit_group
 from .ball import Ball, ComplexBall, _out_array
 from .characters import (Character, _is_five_axis, _lcm_orders, conjugate_index,
                          parity_mask, primitive_mask, roots_of_unity)
@@ -65,6 +68,16 @@ _U = 2.0 ** -53
 # factor below also covers pocketfft's Bluestein path with a wide margin
 # (see the small-N validation tests).
 _FFT_C = 4.0
+# An even last axis whose length has a prime factor above this runs as a
+# complex transform of half its length (see `character_sums`).  Timed per
+# shape on a 2-vCPU AVX-512 host, this bound's total transform time came
+# within 5% of the faster kernel's on 3 | q in 96000..97000 and on samples
+# near 10^6 and 2 10^6
+_PACK_PRIME = 300
+# the unpack's rounding and weight error, in units of u n max|a| per output
+# (see `character_sums`), and the radius of each `_unpack_weights` entry
+_UNPACK_C = 11.0
+_WEIGHT_RAD = 7.1 * _U
 
 
 @dataclass(frozen=True)
@@ -133,40 +146,49 @@ def _mirror(g: UnitGroupStructure, out: np.ndarray, v: np.ndarray) -> None:
     f += v
 
 
-# Radius model of the elementary coefficients.  np.sin, np.cos and np.log
-# are assumed within 2 ulp (4u relative, u = 2^-53) of the exact function
-# at the rounded argument; glibc and numpy's SIMD kernels claim at most 1
+# Radius model of the elementary coefficients.  np.tan, np.sin, np.cos and
+# np.log are assumed within 2 ulp (4u relative, u = 2^-53) of the exact
+# function at the rounded argument; numpy's float64 kernels claim at most 1
 # ulp, and the tests compare entries with 40-digit mpmath.
 def _log_sine_coefficients(g: UnitGroupStructure) -> tuple[np.ndarray, float]:
     """x(a) = log(2 sin(pi a'/q)) + pi (a/q - 1/2), a' = min(a, q - a), on
-    g's lattice: (midpoints, u (17 phi + 6 sum |x|)), the sum of r(a) = u (17 + 6 |x(a)|).
+    g's lattice: (midpoints, u (19 phi + 6 sum |x|)), the sum of r(a) = u (19 + 6 |x(a)|).
 
-    With d = 2a - q exact and c = pi/(2q) rounded (relative error below
-    1.37u, fl(pi) included), the linear part v = d c and the angle t =
-    (q - |d|) c = pi a'/q are each within 2.4u relative.  On 0 < t <= pi/2,
-    t cot t <= 1, so sin at the rounded t is within 2.4u relative of sin t,
-    and np.sin adds 4u: log(2 sin) at the computed sine is within 6.5u of
-    log(2 sin(pi a'/q)).  np.log adds 4u |log|, and the sum x = log + v one
-    rounding u |x|.  With |log| <= |x| + |v| and |v| <= pi/2 the error is
-    below u (16.6 + 5.02 |x|).  x(-a) = log - v takes the same logarithm,
-    so sin and log run on half the units (`_mirror`).  The radius sum is
-    rounded upward (`_abs_sum`; u is a power of two).
+    2 sin(pi a'/q) = 4 tau/(1 + tau^2) with tau = tan s, s = pi a'/(2q) in
+    (0, pi/4], so tau lies in (0, 1] and no np.sin runs.  With d = 2a - q
+    exact and c = pi/(2q) rounded (relative error below 1.37u, fl(pi)
+    included), the linear part v = d c and the angle s = (q - |d|) c/2 are
+    each within 2.4u relative.  y = 4 tau/(1 + tau^2) = 2 sin 2s has
+    d log y/d log s = 2s cot 2s <= 1, so y at the rounded s is within 2.4u
+    relative of 2 sin(pi a'/q); d log y/d log tau = (1 - tau^2)/(1 + tau^2)
+    lies in [0, 1), so np.tan adds at most 4u; the rounding of tau^2 moves
+    1 + tau^2 by at most u/2 relative, and 1 + tau^2 and the quotient add u
+    each: log(2 sin) at the computed y is within 8.9u of log(2 sin(pi
+    a'/q)).  np.log adds 4u |log|, and the sum x = log + v one rounding
+    u |x|.  With |log| <= |x| + |v| and |v| <= pi/2 (within 3.8u) the error
+    is below u (18.96 + 5.02 |x|).  x(-a) = log - v takes the same
+    logarithm, so tan and log run on half the units (`_mirror`).  The
+    radius sum is rounded upward (`_abs_sum`; u is a power of two).
     """
-    q = g.q
+    q, h = g.q, g.phi // 2
     c = math.pi / (2 * q)
     v = g.half * 2.0
     v -= q                              # d = 2a - q, at the units a of g.half
     x = np.empty(g.phi)
-    ls = np.abs(v, out=x[:g.phi // 2])
+    ls, den = x[:h], x[h:]              # x[h:] is scratch until `_mirror`
+    np.abs(v, out=ls)
     np.subtract(q, ls, out=ls)          # 2a'
-    ls *= c                             # pi a'/q
-    np.sin(ls, out=ls)
-    ls *= 2.0
+    ls *= c / 2                         # s = pi a'/(2q)
+    np.tan(ls, out=ls)                  # tau
+    np.square(ls, out=den)
+    den += 1.0
+    ls *= 4.0
+    np.divide(ls, den, out=ls)          # 4 tau/(1 + tau^2) = 2 sin(pi a'/q)
     np.log(ls, out=ls)
     v *= c                              # pi (a/q - 1/2)
     _mirror(g, x, v)
     total, scale = _abs_sum(x)
-    return x, (17.0 * g.phi + 6.0 * total) * scale * _U
+    return x, (19.0 * g.phi + 6.0 * total) * scale * _U
 
 
 def _phase_coefficients(g: UnitGroupStructure) -> tuple[np.ndarray, float]:
@@ -189,6 +211,62 @@ def _phase_coefficients(g: UnitGroupStructure) -> tuple[np.ndarray, float]:
     return w, 25.0 * _U * g.phi
 
 
+def _packed(n: int) -> bool:
+    """Whether `character_sums` takes the packed path on a last axis of
+    length n: n even, with a prime factor above _PACK_PRIME."""
+    return n % 2 == 0 and factorize(n).factors[-1][0] > _PACK_PRIME
+
+
+def _unpack_weights(n: int) -> tuple[np.ndarray, float]:
+    """w_k = (1 + i e(k/n))/2 for k = 0..n/2 (n even), and a radius on
+    |w_k - exact| for every k, built per call (no cache holds them).
+
+    With phi = pi (n - 4k)/(4n) in [-pi/4, pi/4] and tau = tan phi, w_k =
+    sin^2 phi + i sin phi cos phi = tau (tau + i)/(1 + tau^2).  n - 4k is
+    exact, and phi is computed within 2.4u relative (fl(pi) included), so
+    within 1.9u absolute, and both parts have derivatives at most 1 in phi.
+    np.tan adds 4u relative (the radius model above), which moves the real
+    part by at most 1/2 of that and the imaginary part by at most 1/4.
+    tau^2, 1 + tau^2 and tau/(1 + tau^2) round the imaginary part by 2.5u
+    relative, and the product by tau the real part by 3.5u; both parts are
+    at most 1/2.  So the real part is within 5.64u and the imaginary part
+    within 4.14u, and |w_k - exact| < 7.1u.  phi changes sign at n/2 - k,
+    so w_n/2-k = conj w_k, and tan runs on k <= n/4 only.
+    """
+    h, m = n // 2, n // 4
+    tau = np.tan((n - 4 * np.arange(m + 1)) * (math.pi / (4 * n)))
+    w = np.empty(h + 1, dtype=np.complex128)
+    lo = w[:m + 1]
+    np.square(tau, out=lo.real)
+    lo.real += 1.0
+    np.divide(tau, lo.real, out=lo.imag)        # tau/(1 + tau^2)
+    np.multiply(tau, lo.imag, out=lo.real)      # tau^2/(1 + tau^2)
+    np.conj(w[h - m - 1::-1], out=w[m + 1:])
+    return w, _WEIGHT_RAD
+
+
+def _packed_rfftn(shape: tuple[int, ...], values: np.ndarray) -> np.ndarray:
+    """conj(rfftn(lattice)) of the real lattice `values` of `shape`, whose
+    last axis has even length n = 2h, by one complex FFT of h points along
+    that axis, the unpack and complex FFTs along the others (see
+    `character_sums`)."""
+    h = shape[-1] // 2
+    z = np.fft.fft(values.reshape(shape).view(np.complex128))
+    zr = z[..., ::-1]                           # Z_{h-k} at k = 1..h
+    out = np.empty(shape[:-1] + (h + 1,), dtype=np.complex128)
+    np.conj(z, out=out[..., :h])
+    out[..., h] = out[..., 0]                   # conj Z_k, k = 0..h
+    np.subtract(out[..., 1:], zr, out=out[..., 1:])
+    out[..., 0] -= z[..., 0]
+    out *= _unpack_weights(shape[-1])[0]
+    np.add(out[..., 1:], zr, out=out[..., 1:])
+    out[..., 0] += z[..., 0]                    # conj X_k
+    if len(shape) > 1:
+        # conj(fftn(X)) over the other axes, as the unscaled backward FFT
+        np.fft.ifftn(out, axes=range(len(shape) - 1), norm="forward", out=out)
+    return out
+
+
 def character_sums(shape: tuple[int, ...], values: np.ndarray,
                    rad: float) -> tuple[np.ndarray, float]:
     """sum_n a(n) chi(n) over a real lattice of `shape`, for the characters
@@ -204,20 +282,51 @@ def character_sums(shape: tuple[int, ...], values: np.ndarray,
     output's real and imaginary parts: the FFT roundoff bound on N =
     values.size points plus `rad` (the margin of C covers the sum's rounding).
 
-    Real-kernel assumption: the roundoff bound C log2(N) u N max|a| is the
-    one for the complex transform of N points (Higham, Accuracy and
-    Stability of Numerical Algorithms, sec. 24.1), and it is assumed to
-    hold for pocketfft's real-input path too: a real FFT along the last
-    axis (radix 2, 3, 4, 5 and generic passes, or Bluestein for a large
-    prime factor), then complex FFTs along the others.  The exact-DFT
-    tests check it at lengths that reach each of those kernels.
+    The roundoff bound of the complex transform of N points is C log2(N) u
+    N max|a| (Higham, Accuracy and Stability of Numerical Algorithms, sec.
+    24.1).  Two kernels compute the half, and the exact-DFT tests check
+    each at lengths that reach each of its pocketfft kernels.
+
+    rfftn, unless the last axis is packed (below).  Real-kernel assumption:
+    the complex bound is assumed to hold for pocketfft's real-input path
+    too, a real FFT along the last axis (radix 2, 3, 4, 5 and generic
+    passes, or Bluestein for a prime factor up to _PACK_PRIME), then
+    complex FFTs along the others.
+
+    Packed, when n is even and has a prime factor above _PACK_PRIME, where
+    the real FFT would run Bluestein (the half-length method of Sorensen
+    et al., Real-valued fast Fourier transform algorithms, IEEE Trans.
+    ASSP 35(6), 1987).  It runs complex kernels only, so it needs no
+    assumption; its bound is (C log2(N/2) + 11) u N max|a|.  With h = n/2,
+    m = max|a| and R = N/n:
+    - Z, the complex FFT of h points of z_j = a_2j + i a_2j+1 along the
+      last axis (the lattice viewed as complex, no copy), per row within
+      C log2(h) u h sqrt(2) m of exact.
+    - The unpack X_k = alpha_k Z_k + (1 - alpha_k) conj Z_h-k, k = 0..h,
+      Z_h = Z_0 and alpha_k = (1 - i e(-k/n))/2, which gives rfft's X_k
+      (X_0 and X_h are Re Z_0 +- Im Z_0).  |alpha| + |1 - alpha| <= sqrt 2,
+      so Z's error reaches X at most sqrt 2 times: C log2(h) u n m.  It
+      runs conjugated, conj X_k = Z_h-k + w_k (conj Z_k - Z_h-k), with w =
+      conj alpha from `_unpack_weights`, within 7.1u.  The difference is
+      conj(2i O_k), O the DFT of the odd entries, so at most n m, and
+      rounds by u of that; |w| <= 1/sqrt 2, so the product adds 2u n m
+      (Higham, Lemma 3.5), the weight error 7.1u n m and the difference's
+      rounding 0.71u n m; the sum, at most n m, rounds by u n m: below
+      10.81 u n m in all, and 11 covers second-order terms.
+    - Complex FFTs of R points along the other axes: their exact sums
+      carry each row's error R times, (C log2(h) + 11) u N m, and they add
+      C log2(R) u R n m.  log2(h) + log2(R) = log2(N/2).
     """
     n = values.size
-    spectrum = np.fft.rfftn(values.reshape(shape))
-    np.conj(spectrum, out=spectrum)
     max_mag = max(float(values.max()), -float(values.min()))
-    envelope = _FFT_C * math.log2(max(n, 2)) * _U * n * max_mag + rad
-    return spectrum.ravel(), envelope
+    if _packed(shape[-1]):
+        spectrum = _packed_rfftn(shape, values)
+        growth = _FFT_C * math.log2(n // 2) + _UNPACK_C
+    else:
+        spectrum = np.fft.rfftn(values.reshape(shape))
+        np.conj(spectrum, out=spectrum)
+        growth = _FFT_C * math.log2(max(n, 2))
+    return spectrum.ravel(), growth * _U * n * max_mag + rad
 
 
 def fold(g: UnitGroupStructure, mids: np.ndarray, rad: float):
@@ -339,7 +448,7 @@ class Spectrum(NamedTuple):
     the conjugate sums and the same |L(1,chi)|."""
 
     g: UnitGroupStructure
-    spec: np.ndarray         # the kept outputs' S(chi), rfftn's own
+    spec: np.ndarray         # the kept outputs' S(chi), in rfftn's layout
     env: float               # radius of both parts of every S(chi)
     index: np.ndarray        # their enumeration indices, increasing
     odd: np.ndarray          # their parities, True for odd
@@ -376,8 +485,8 @@ def _spectrum(q: int, phase: bool = False) -> Spectrum | None:
     """The `Spectrum` of one conductor, with the values L(1,chi) when
     `phase` is set; None when q has no primitive character (q = 2 mod 4),
     in which case neither the unit group, the coefficients nor a transform
-    are built.  One rfftn for S, and one more for T on the same folded
-    lattice (see `_values`)."""
+    are built.  One transform for S, and one more for T on the same folded
+    lattice (see `character_sums` and `_values`)."""
     if q < 3:
         raise ValueError(f"conductor q must be >= 3, got {q}")
     if q % 4 == 2:

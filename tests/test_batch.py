@@ -3,8 +3,9 @@
 Closed-form oracles: pi/(3 sqrt 3) for the quadratic character mod 3
 (reflection formula), pi/4 for mod 4 (Leibniz), and the class-number
 value (2/sqrt 5) log((1+sqrt 5)/2) for the even character mod 5.  The
-real-input transform is further checked against an exact mpmath DFT at
-lengths that reach each of pocketfft's real and complex kernels.
+transform's two kernels, rfftn and the packed half-length path, are
+further checked against an exact mpmath DFT at lengths that reach each of
+pocketfft's real and complex kernels, and at two production lengths.
 """
 
 import math
@@ -425,32 +426,44 @@ def _exact_half_dft(shape, values):
     return x.ravel()
 
 
-# Lattice shapes whose axis lengths reach each of pocketfft's kernels on
-# the rfftn path.  The real transform along the last axis factors its
-# length into radix-4, 2, 3 and 5 passes and a generic pass for any other
-# prime, and the complex passes along the other axes do the same.  A
-# length of at least 50 whose largest prime factor p has p^2 > length
-# goes to Bluestein when its cost model says so: 358 = 2 * 179 (real)
-# and 166 = 2 * 83 (complex) are the smallest such p - 1.
+# Lattice shapes whose axis lengths reach each of pocketfft's kernels, and
+# the kernel `character_sums` takes on each.  On rfftn the real transform
+# along the last axis factors its length into radix-4, 2, 3 and 5 passes
+# and a generic pass for any other prime, and the complex passes along the
+# other axes do the same.  A length of at least 50 whose largest prime
+# factor p has p^2 > length goes to Bluestein when its cost model says so:
+# 358 = 2 * 179 (real) and 166 = 2 * 83 (complex) are the smallest such p - 1.
+# An even last axis with a prime factor above batch._PACK_PRIME takes the
+# packed path, a complex FFT of half its length (Bluestein on 307) and the
+# unpack: 614 = 2 * 307 is the smallest such length.
 KERNEL_SHAPES = [
-    (16,),          # real radix 4 (q = 17)
-    (18,),          # real radix 2 and 3 (q = 19, 27)
-    (20,),          # real radix 4 and 5 (q = 25)
-    (42,),          # real radix 2, 3 and generic 7 (q = 43, 49)
-    (2, 8),         # complex radix 2, real radix 4 and 2 (q = 32)
-    (6, 22),        # complex radix 2 and 3, real generic 11 (q = 7 * 23)
-    (358,),         # real Bluestein (q = 359, 3 * 359 folded)
-    (166, 6),       # complex Bluestein, real radix 2 and 3
-    (2, 358),       # complex radix 2, real Bluestein (q = 4 * 359)
+    ((16,), "rfftn"),          # real radix 4 (q = 17)
+    ((18,), "rfftn"),          # real radix 2 and 3 (q = 19, 27)
+    ((20,), "rfftn"),          # real radix 4 and 5 (q = 25)
+    ((42,), "rfftn"),          # real radix 2, 3 and generic 7 (q = 43, 49)
+    ((2, 8), "rfftn"),         # complex radix 2, real radix 4 and 2 (q = 32)
+    ((6, 22), "rfftn"),        # complex radix 2 and 3, real generic 11 (q = 7 * 23)
+    ((358,), "rfftn"),         # real Bluestein (q = 359, 3 * 359 folded)
+    ((166, 6), "rfftn"),       # complex Bluestein, real radix 2 and 3
+    ((2, 358), "rfftn"),       # complex radix 2, real Bluestein (q = 4 * 359)
+    ((614,), "packed"),        # complex Bluestein on 307, the unpack
+    ((2, 614), "packed"),      # the same, then complex radix 2
 ]
+
+
+def test_kernel_shapes_take_their_kernels():
+    for shape, kernel in KERNEL_SHAPES:
+        assert batch._packed(shape[-1]) == (kernel == "packed"), shape
+    # the production lengths of test_transform_at_production_lengths
+    assert batch._packed(666466) and not batch._packed(882)
 
 
 def test_transform_against_exact_dft_reference():
     """FFT midpoints and envelope vs an exact high-precision DFT on real
     inputs, at the lattices of q = 16, 27, 59, 97 and at lengths that reach
-    every real and complex kernel of the rfftn path."""
+    every real and complex kernel of both paths."""
     rng = np.random.default_rng(17)
-    for shape in [unit_group(q).orders for q in (16, 27, 59, 97)] + KERNEL_SHAPES:
+    for shape in [unit_group(q).orders for q in (16, 27, 59, 97)] + [s for s, _ in KERNEL_SHAPES]:
         vals = rng.standard_normal(math.prod(shape))
         spec, env = character_sums(shape, vals, 0.0)
         exact = _exact_half_dft(shape, vals)
@@ -462,16 +475,93 @@ def test_transform_against_exact_dft_reference():
 
 def test_fft_envelope_has_headroom_on_small_sizes():
     # the envelope should dominate observed FFT error by a wide margin, on
-    # the small unit lattices and on every kernel's lengths
+    # the small unit lattices and on every kernel's lengths, the packed
+    # path's included under its own envelope
     rng = np.random.default_rng(23)
     worst_ratio = 0.0
     for shape in [unit_group(q).orders for q in (5, 7, 11, 13, 23, 29, 37, 47, 53, 61)] \
-            + KERNEL_SHAPES:
+            + [s for s, _ in KERNEL_SHAPES]:
         vals = rng.standard_normal(math.prod(shape))
         spec, env = character_sums(shape, vals, 0.0)
         for s, e in zip(spec, _exact_half_dft(shape, vals)):
             worst_ratio = max(worst_ratio, abs(complex(e) - s) / env)
     assert worst_ratio < 0.5, worst_ratio
+
+
+@pytest.mark.parametrize("n", [614, 718, 6 * 2003, 666466])
+def test_unpack_weights_against_mpmath(n):
+    # each weight w_k = (1 + i e(k/n))/2 of the packed path lies within its
+    # stated radius of the 40-digit value, with room: at k = 0, n/8, n/4,
+    # 3n/8, n/2 and their neighbours, and at random k (every k when n < 1000)
+    w, rad = batch._unpack_weights(n)
+    h = n // 2
+    assert w.shape == (h + 1,) and rad == 7.1 * 2.0 ** -53
+    ks = set(range(h + 1)) if n < 1000 else (
+        {k + d for k in (0, n // 8, n // 4, 3 * n // 8, h) for d in (-1, 0, 1)}
+        | set(np.random.default_rng(n).integers(0, h + 1, 400).tolist()))
+    worst = 0.0
+    for k in sorted(k for k in ks if 0 <= k <= h):
+        exact = (1 + 1j * mp.expjpi(mp.mpf(2 * k) / n)) / 2
+        err = abs(mp.mpc(complex(w[k])) - exact)
+        worst = max(worst, float(err / rad))
+    assert worst < 0.5, (n, worst)
+
+
+def _exact_outputs(shape, m, outputs):
+    """sum_k m_k e(j.k/n) at each multi-index j of `outputs`, over the
+    integer lattice m (|m| < 2^40) of `shape`, within 2^-100 of exact
+    for N = m.size below 2^20.  Each
+    phase j.k/n is r/L exactly, L the lcm of the axis lengths: the m_k are
+    summed exactly per r, and e(r/L) = e(r1 B/L) e(r0/L), r = r1 B + r0,
+    comes from two tables of about sqrt(L) roots in 60-digit mpmath, held
+    as integers scaled by 2^160, so each output is an exact integer sum."""
+    L = math.lcm(*shape)
+    B = math.isqrt(L) + 1
+    scale = 2 ** 160
+
+    def table(count, step):
+        with mp.workdps(60):
+            roots = [mp.expjpi(mp.mpf(2 * i * step) / L) for i in range(count)]
+            return (np.array([int(mp.nint(z.real * scale)) for z in roots], dtype=object),
+                    np.array([int(mp.nint(z.imag * scale)) for z in roots], dtype=object))
+
+    (c0, s0), (c1, s1) = table(B, 1), table(-(-L // B), B)
+    k = np.indices(shape).reshape(len(shape), -1)
+    out = []
+    for j in outputs:
+        r = sum(int(ji) * (L // n) * ki for ji, n, ki in zip(j, shape, k)) % L
+        a = np.zeros(c1.size * B, dtype=np.int64)
+        np.add.at(a, r, m)
+        a = a.reshape(-1, B).astype(object)
+        re0, im0 = a.dot(c0), a.dot(s0)
+        out.append(mp.mpc(mp.mpf(int((re0 * c1 - im0 * s1).sum())),
+                          mp.mpf(int((re0 * s1 + im0 * c1).sum()))) / scale ** 2)
+    return out
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("shape", [
+    (666466,),          # q = 3 * 666467 folded, 666466 = 2 * 333233: packed
+    (4, 150, 882),      # q = 1999995 folded, every axis 7-smooth: rfftn
+])
+def test_transform_at_production_lengths(shape):
+    # ten outputs of character_sums, against single-output exact DFTs of
+    # the same lattice: (0, ..., 0), the last axis's n/2, and random ones.
+    # Random inputs test the envelope at production lengths; they do not
+    # prove it, as no finite set of inputs can
+    rng = np.random.default_rng(math.prod(shape))
+    m = rng.integers(-2 ** 40, 2 ** 40, math.prod(shape))
+    spec, env = character_sums(shape, m * 2.0 ** -40, 0.0)
+    half = shape[:-1] + (shape[-1] // 2 + 1,)
+    outputs = [(0,) * len(shape), (0,) * (len(shape) - 1) + (shape[-1] // 2,)] + [
+        tuple(int(rng.integers(0, n)) for n in half) for _ in range(8)]
+    worst = 0.0
+    for j, e in zip(outputs, _exact_outputs(shape, m, outputs)):
+        s, e = spec[np.ravel_multi_index(j, half)], e * mp.mpf(2) ** -40
+        for got, want in ((s.real, e.real), (s.imag, e.imag)):
+            assert abs(got - want) <= env, (shape, j)
+            worst = max(worst, float(abs(got - want)) / env)
+    assert worst < 0.5, (shape, worst)
 
 
 def test_l_values_conjugate_pairs_are_exact():
@@ -686,39 +776,43 @@ def test_half_masks_equal_the_gathered_full_masks():
         assert np.array_equal(parity_mask(g, half), parity_mask(g)[index]), q
 
 
-def test_spectrum_runs_one_rfftn_and_no_fftn(monkeypatch):
+def test_spectrum_runs_one_transform_per_conductor(monkeypatch):
     # every conductor with a primitive character goes through one
-    # real-input transform in batch_maxima and the sweep, and two in
-    # l_values (S and T); the complex one and the digamma kernel are never
-    # reached
+    # transform in batch_maxima and the sweep, and two in l_values and
+    # l_value (S and T), whichever kernel runs: rfftn, or the packed path's
+    # complex FFT of half the last axis, the one call of np.fft.fft it
+    # makes; the digamma kernel is never reached
     from l1sweep import special
     from l1sweep.sweep import conductor_range, sweep
-
-    def no_fftn(*args, **kwargs):
-        raise AssertionError("complex fftn on the production path")
 
     def no_digamma(*args, **kwargs):
         raise AssertionError("digamma_points on the production path")
 
     calls = []
-    rfftn = np.fft.rfftn
 
-    def counted_rfftn(*args, **kwargs):
-        calls.append(1)
-        return rfftn(*args, **kwargs)
+    def counted(kernel, original):
+        def run(*args, **kwargs):
+            calls.append(kernel)
+            return original(*args, **kwargs)
+        return run
 
-    monkeypatch.setattr(np.fft, "fftn", no_fftn)
-    monkeypatch.setattr(np.fft, "rfftn", counted_rfftn)
+    for kernel in ("rfftn", "fft"):
+        monkeypatch.setattr(np.fft, kernel, counted(kernel, getattr(np.fft, kernel)))
     _patch_everywhere(monkeypatch, special.digamma_points, no_digamma)
     sweep(3, 300, threads=1)
-    assert len(calls) == sum(q % 4 != 2 for q in conductor_range(3, 300, 3)) == 75
-    calls.clear()
-    records = l_values(999)
-    assert len(records) == count_primitive(999, 999) and len(calls) == 2
-    calls.clear()
-    assert l_value(999, records[1].index) == records[1] and len(calls) == 2
-    calls.clear()
-    assert batch_maxima(99999)[1] == count_primitive(99999, 99999) and len(calls) == 1
+    assert calls == ["rfftn"] * sum(q % 4 != 2 for q in conductor_range(3, 300, 3)) \
+        == ["rfftn"] * 75
+    # 999 folds to (18, 36) and 99999 to (6, 40, 270), rfftn; 2157 = 3 *
+    # 719 to (718,), 718 = 2 * 359, packed
+    for q, kernel in ((999, "rfftn"), (2157, "fft")):
+        calls.clear()
+        records = l_values(q)
+        assert len(records) == count_primitive(q, q) and calls == [kernel] * 2
+        calls.clear()
+        assert l_value(q, records[1].index) == records[1] and calls == [kernel] * 2
+    for q, kernel in ((99999, "rfftn"), (2157, "fft")):
+        calls.clear()
+        assert batch_maxima(q)[1] == count_primitive(q, q) and calls == [kernel]
 
 
 def test_l_value_is_the_l_values_record():

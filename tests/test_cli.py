@@ -17,10 +17,13 @@ def test_lvalue_single_conductor(capsys):
 
 # sha256 of the standard output of `l1sweep lvalue --q Q`: every record's
 # line, its margin and verdict included, pinned so that a change to how a
-# report is computed cannot change a printed byte
+# report is computed cannot change a printed byte; a row change re-pins
+# them, and the ids leave the digest out, so a re-pinned case keeps its name
 @pytest.mark.parametrize("q, digest", [
-    (249, "e629090b9c846e27c7a35c622ffe7610bf0ff546798442666eac108d6d584f40"),
-    (9999, "0a1b72b090f5ccf608a47578c879fe85a711ed95696e6a503f13a30b0496e689"),
+    pytest.param(249, "106c871f7787608fac9a2e561171c48092e3cbdbf92b0cc00dddaaddecdd0b26",
+                 id="249"),
+    pytest.param(9999, "0a1b72b090f5ccf608a47578c879fe85a711ed95696e6a503f13a30b0496e689",
+                 id="9999"),
 ])
 def test_lvalue_stdout_digest(q, digest, capsys):
     assert main(["lvalue", "--q", str(q)]) == 0

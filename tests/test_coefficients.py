@@ -61,9 +61,9 @@ def _folded_terms(g):
 
 
 def _entry_radii(x, w):
-    """The per-entry radii the `batch` docstrings state: u (17 + 6 |x(a)|)
+    """The per-entry radii the `batch` docstrings state: u (19 + 6 |x(a)|)
     for x and 25u for w."""
-    return np.abs(x) * (6.0 * U) + 17.0 * U, np.full(w.size, 25.0 * U)
+    return np.abs(x) * (6.0 * U) + 19.0 * U, np.full(w.size, 25.0 * U)
 
 
 def _folded_entry_radii(g, mids, rads):

@@ -366,7 +366,7 @@ def test_even_band_for_q_divisible_by_12_sits_lower(tmp_path):
 
 # sha256 of the row file of sweep(3, 3000) at any thread count.  A change
 # to row bytes must fail here and record its new digest.
-ROWS_3000_SHA256 = "eb81974bff36dee2c1b2d567648be4cc11d27712362064e188840dd85ad00aaf"
+ROWS_3000_SHA256 = "41bbaba7a9191a08cd6c679521283e13bd82f69b17074ef7283730a45e64bc4d"
 
 
 @pytest.fixture(scope="module")
@@ -389,10 +389,10 @@ def test_row_file_digest(threads, rows_3000, tmp_path):
 # the ids leave the digest out, so a re-pinned case keeps its name
 @pytest.mark.parametrize("qmin, qmax, threads, digest", [
     pytest.param(97000, 97999, 1,
-                 "8fbfcc24c6ae643215e7abff327e7bc7f40453b2f5dc1296c05d8a6f9bed4606",
+                 "d473f87e677e40a5370a4feedab2ad10ca16cac7a4ebd041bfb08bd04ad4e8b6",
                  id="97000-97999-1"),
     pytest.param(3, 20000, 2,
-                 "06822e71ab414715abbc230ba937b7683bda9372e60c722e87f17c02fa7d8908",
+                 "f9a13b302f289f045270bd808a32f3fef7b6615bd3cc025eafc7442ba7fada9a",
                  id="3-20000-2"),
 ])
 def test_reference_row_file_digests(qmin, qmax, threads, digest, tmp_path):
