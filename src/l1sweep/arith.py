@@ -60,6 +60,7 @@ def factorize(q: int) -> Factorization:
 
 
 def euler_phi(q: int) -> int:
+    """phi(q) = prod p^(e-1) (p - 1) over the prime powers p^e || q."""
     return factorize(q).phi()
 
 

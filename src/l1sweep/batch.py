@@ -56,12 +56,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .arith import UnitGroupStructure, dlog_matrix, factorize, unit_group
-from .ball import Ball, ComplexBall, _out_array
+from .ball import _EPS, Ball, ComplexBall, _out_array
 from .characters import (Character, _is_five_axis, _lcm_orders, conjugate_index,
                          parity_mask, primitive_mask, roots_of_unity)
 from .special import ToleranceError, digamma_points
 
-_EPS = 2.0 ** -52
 _U = 2.0 ** -53
 # FFT roundoff envelope constant: |error| <= C log2(N) u N max|a|.  The
 # classical backward-stability bound for power-of-two FFTs has C ~ 3; the
@@ -99,12 +98,9 @@ def build_coefficients(q: int, tol: float) -> CoefficientVector:
     builds x and w instead (`_log_sine_coefficients`,
     `_phase_coefficients`) and never calls this."""
     g = unit_group(q)                    # which refuses q < 3
-    # -psi/q and psi_rad/q (1 + 2^-40) + 2 eps |mids|, in place
-    mids, rads = digamma_points(g.lattice / float(q))
-    np.divide(np.negative(mids, out=mids), q, out=mids)
-    np.multiply(np.divide(rads, q, out=rads), 1.0 + 2.0 ** -40, out=rads)
-    slack = np.abs(mids)
-    rads += np.multiply(slack, 2.0 * _EPS, out=slack)
+    psi_mid, psi_rad = digamma_points(g.lattice / float(q))
+    mids = -psi_mid / q
+    rads = psi_rad / q * (1.0 + 2.0 ** -40) + 2.0 * _EPS * np.abs(mids)
     worst = float(rads.max())
     if not worst <= tol:                 # a NaN tol attains nothing
         raise ToleranceError(tol, worst, q)

@@ -63,10 +63,12 @@ def c_odd(q: int) -> Ball:
 
 
 def c_even_limit() -> Ball:
+    """lim C_even(q) as q -> infinity: (1/3)log 3."""
     return Ball.exact(3).log() / 3
 
 
 def c_odd_limit() -> Ball:
+    """lim C_odd(q) as q -> infinity: 5/3 - (1/3)log 12."""
     return Ball.exact(5) / 3 - Ball.exact(12).log() / 3
 
 

@@ -14,10 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ball import Ball, PI, TWO_PI
+from .ball import _EPS, Ball, PI, TWO_PI
 from .special import ball_sinc, integrate, j_func, trigamma_points
-
-_EPS = 2.0 ** -52
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ball import Ball, BallDomainError, LOG2, PI
-
-_EPS = 2.0 ** -52
+from .ball import _EPS, Ball, BallDomainError, LOG2, PI
 
 
 class ToleranceError(ValueError):
@@ -96,60 +94,27 @@ def digamma(x: float, tol: float = 1e-12) -> Ball:
 
 
 _PSI_COEFF_F = np.array([float(c.mid) for c in _PSI_COEFF])
-# digamma_points works through its input in blocks of this many points, so
-# its scratch arrays stay in cache and are allocated once per call
-_BLOCK = 8192
 
 
 def digamma_points(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized psi at an array of positive abscissae.
 
-    Returns (midpoints, radii).  A uniform 10-step recurrence keeps the
-    computation branch-free; the radius is the analytic envelope
-    eps*(20/x + 120) plus the series tail, which the tests check against
-    the scalar ball digamma across random inputs.
-
-    Each block runs the operations of
-
-        acc = sum_j 1/(x + j),  w = x + 10,  r = 1/(w*w),
-        series = (...((0 + c_10) r + c_9) r ... + c_1) r,
-        mid = log(w) - 0.5/w - series - acc
-
-    in that order, as in-place ufuncs on preallocated scratch arrays, so
-    every bit is the one the whole-array expression gives.
+    Returns (midpoints, radii) in the shape of xs.  A uniform 10-step
+    recurrence keeps the computation branch-free; the radius is the
+    analytic envelope eps*(20/x + 120) plus the series tail, which the
+    tests check against the scalar ball digamma across random inputs.
     """
     xs = np.asarray(xs, dtype=np.float64)
-    mids, rads = np.empty(xs.shape), np.empty(xs.shape)
-    flat_x, flat_m, flat_r = xs.ravel(), mids.reshape(-1), rads.reshape(-1)
-    size = min(_BLOCK, flat_x.size)
-    acc_buf, w_buf, t_buf, series_buf = (np.empty(size) for _ in range(4))
-    for start in range(0, flat_x.size, _BLOCK):
-        x = flat_x[start:start + _BLOCK]
-        m = flat_m[start:start + _BLOCK]
-        rad = flat_r[start:start + _BLOCK]
-        n = x.size
-        acc, w, t, series = acc_buf[:n], w_buf[:n], t_buf[:n], series_buf[:n]
-        acc.fill(0.0)
-        for j in range(_PSI_SHIFT):
-            np.add(x, float(j), out=t)
-            np.divide(1.0, t, out=t)
-            acc += t
-        np.add(x, float(_PSI_SHIFT), out=w)
-        np.multiply(w, w, out=t)
-        np.divide(1.0, t, out=t)            # r
-        series.fill(0.0)
-        for c in _PSI_COEFF_F[::-1]:
-            series += c
-            series *= t
-        np.log(w, out=m)
-        np.divide(0.5, w, out=w)
-        m -= w
-        m -= series
-        m -= acc
-        np.divide(20.0, x, out=rad)
-        rad += 120.0
-        rad *= _EPS
-        rad += _PSI_TAIL_AT_10
+    acc = np.zeros_like(xs)
+    for j in range(_PSI_SHIFT):
+        acc += 1.0 / (xs + j)
+    w = xs + float(_PSI_SHIFT)
+    r = 1.0 / (w * w)
+    series = np.zeros_like(xs)
+    for c in _PSI_COEFF_F[::-1]:
+        series = (series + c) * r
+    mids = np.log(w) - 0.5 / w - series - acc
+    rads = _EPS * (20.0 / xs + 120.0) + _PSI_TAIL_AT_10
     return mids, rads
 
 

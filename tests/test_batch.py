@@ -68,19 +68,6 @@ def test_build_coefficients_tolerance_contract():
         build_coefficients(9, math.nan)
 
 
-def test_in_place_coefficients_bit_identical_to_array_expression():
-    # the in-place ufuncs keep every bit of the whole-array expression,
-    # which stays here as the reference
-    for q in list(range(3, 1000)) + [98613, 99999]:
-        g = unit_group(q)
-        c = build_coefficients(q, 1e-9 / (2 * g.phi))
-        psi_mid, psi_rad = digamma_points(g.lattice / float(q))
-        mids = -psi_mid / q
-        rads = psi_rad / q * (1.0 + 2.0 ** -40) + 2.0 * batch._EPS * np.abs(mids)
-        assert np.array_equal(c.mids.view(np.int64), mids.view(np.int64)), q
-        assert np.array_equal(c.rads.view(np.int64), rads.view(np.int64)), q
-
-
 def test_transform_indicator_vectors():
     g = unit_group(21)
     us = g.lattice
