@@ -7,6 +7,9 @@ component generated by 3 for 4, and <-1> x <5> for 2^e with e >= 3.
 The units are generated forward from the CRT-lifted generators, in C
 order over half the exponent lattice (all of it on first use); a
 residue-indexed inverse, built on first use, gives discrete logs.
+This module alone decides where -a sits: -1 has the exponent order/2 on
+every axis but <5> (`Component.minus_one`), so -a lies in the second half
+at a view with those axes' halves swapped (`UnitGroupStructure.half_swap`).
 """
 
 from __future__ import annotations
@@ -93,6 +96,12 @@ class Component:
     generator: int  # residue mod `modulus`
     order: int
 
+    @property
+    def minus_one(self) -> int:
+        """The exponent of -1 on this axis: 0 on the <5> axis of a part 2^e
+        (e >= 3), else order/2, the one element of order 2 in a cyclic group."""
+        return 0 if self.prime == 2 and self.generator == 5 else self.order // 2
+
 
 @dataclass(frozen=True)
 class UnitGroupStructure:
@@ -104,17 +113,27 @@ class UnitGroupStructure:
     # i's generator; half is lattice[:phi // 2]
     half: np.ndarray = field(repr=False)
 
-    @property
+    @cached_property
     def orders(self) -> tuple[int, ...]:
         return tuple(c.order for c in self.components)
+
+    def half_swap(self, a: np.ndarray) -> np.ndarray:
+        """The view of `a`, contiguous and laid out like `half`, whose entry k
+        (C order) sits where -half[k] does in the second half of axis 0: each
+        axis but 0 and <5> (where minus_one is 0) has its halves swapped."""
+        shape = [-1]
+        for c in self.components[1:]:
+            shape += [2, c.minus_one] if c.minus_one else [1, c.order]
+        return np.flip(a.reshape(shape), axis=tuple(range(1, len(shape), 2)))
 
     @cached_property
     def lattice(self) -> np.ndarray:
         """Built on first read, by the discrete logs and the oracles only: the
-        second half is the first times G_0^(order/2), -1 on axis 0's part."""
-        rest = self.q // self.components[0].modulus
-        neg = (1 - 2 * rest * pow(rest, -1, self.components[0].modulus)) % self.q
-        return np.concatenate([self.half, self.half * neg % self.q])
+        second half holds q - half at the positions of -half (`half_swap`)."""
+        lattice = np.concatenate([self.half, self.half])
+        neg = self.half_swap(lattice[self.phi // 2:])
+        np.subtract(self.q, self.half.reshape(neg.shape), out=neg)
+        return lattice
 
     @cached_property
     def index(self) -> np.ndarray:

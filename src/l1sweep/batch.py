@@ -15,9 +15,9 @@ for even chi and -i tau(chi) for odd chi, so L(1,chi) = -T(chi)
 conj(S(chi)) / q for both parities.
 
 x and w are evaluated on the units laid out on the exponent lattice of
-the unit group, on half of them: -1 is a fixed shift of the lattice, and
-x(-a) and w(-a) follow from the same tangent, logarithm, cosine and sine
-as x(a) and w(a).  The lattice is transformed by one FFT per cyclic
+the unit group, on half of them: x(-a) and w(-a), placed by `arith`'s
+half-swap view, take the same tangent, logarithm, cosine and sine as
+x(a) and w(a).  The lattice is transformed by one FFT per cyclic
 component, which evaluates sum_a x(a) chi(a) for every character at once
 in O(phi(q) log q).  Before the transform the lattice is folded on the
 order-2 axis of the part 3 (3 || q) and of the part 4 (4 || q), where
@@ -57,8 +57,8 @@ import numpy as np
 
 from .arith import UnitGroupStructure, dlog_matrix, factorize, unit_group
 from .ball import _EPS, Ball, ComplexBall, _out_array
-from .characters import (Character, _is_five_axis, _lcm_orders, conjugate_index,
-                         parity_mask, primitive_mask, roots_of_unity)
+from .characters import (Character, _lcm_orders, conjugate_index, parity_mask,
+                         primitive_mask, roots_of_unity)
 from .special import ToleranceError, digamma_points
 
 _U = 2.0 ** -53
@@ -119,26 +119,12 @@ def _abs_sum(a: np.ndarray) -> tuple[float, float]:
 
 
 def _mirror(g: UnitGroupStructure, out: np.ndarray, v: np.ndarray) -> None:
-    """Given f = out[:phi/2] and v at the units a of the first half of axis
-    0 of g's lattice, set out to f(a) + v(a) at a and to f(a) - v(a) at -a.
-
-    Axis 0 never is the <5> axis of a part 2^e, and -1 has the exponent
-    order/2 on every axis but that one, where it has 0 (see
-    `characters.parity_mask`).  So the unit at position k + s, s the
-    exponent vector of -1, is -a when a is at k: the second half of axis 0
-    is f - v rolled by s over the other axes, written block by block."""
+    """Given f = out[:phi/2] and v at the units a of g.half, set out to
+    f(a) + v(a) at a and to f(a) - v(a) at -a, the second half written
+    through `g.half_swap`."""
     h = g.phi // 2
-    shape = (-1,) + g.orders[1:]
-    f, v, dst = out[:h].reshape(shape), v.reshape(shape), out[h:].reshape(shape)
-    blocks = [((slice(None),), (slice(None),))]   # (destination, source) per axis
-    for c, n in zip(g.components[1:], g.orders[1:]):
-        s = 0 if _is_five_axis(c) else n // 2
-        # roll by s: destination s.. takes source ..n-s, and ..s takes n-s..
-        pairs = ([(slice(s, None), slice(None, n - s)), (slice(None, s), slice(n - s, None))]
-                 if s else [(slice(None), slice(None))])
-        blocks = [(d + (pd,), src + (ps,)) for d, src in blocks for pd, ps in pairs]
-    for d, src in blocks:
-        np.subtract(f[src], v[src], out=dst[d])
+    f, neg = out[:h], g.half_swap(out[h:])
+    np.subtract(f.reshape(neg.shape), v.reshape(neg.shape), out=neg)
     f += v
 
 
@@ -163,7 +149,7 @@ def _log_sine_coefficients(g: UnitGroupStructure) -> tuple[np.ndarray, float]:
     a'/q)).  np.log adds 4u |log|, and the sum x = log + v one rounding
     u |x|.  With |log| <= |x| + |v| and |v| <= pi/2 (within 3.8u) the error
     is below u (18.96 + 5.02 |x|).  x(-a) = log - v takes the same
-    logarithm, so tan and log run on half the units (`_mirror`).  The
+    logarithm, so tan and log run on g.half (`_mirror` places x(-a)).  The
     radius sum is rounded upward (`_abs_sum`; u is a power of two).
     """
     q, h = g.q, g.phi // 2
@@ -193,9 +179,9 @@ def _phase_coefficients(g: UnitGroupStructure) -> tuple[np.ndarray, float]:
 
     With theta = 2 pi a/q - pi = (2a - q) pi/q, w(a) = -(cos theta + sin
     theta) and w(-a) = -(cos theta - sin theta), so cos and sin run on
-    half the units (`_mirror`).  theta is computed within 2.4u relative, so
-    within 7.6u absolute (|theta| < pi); np.cos and np.sin each add 4u,
-    and the sum one rounding u |w| <= 1.42u: below 24.7u in all.
+    g.half (`_mirror` places w(-a)).  theta is computed within 2.4u
+    relative, so within 7.6u absolute (|theta| < pi); np.cos and np.sin
+    each add 4u, and the sum one rounding u |w| <= 1.42u: below 24.7u in all.
     """
     theta = g.half * 2.0
     theta -= g.q

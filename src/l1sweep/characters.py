@@ -15,7 +15,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .arith import Component, UnitGroupStructure, dlog, reconstruct, units
+from .arith import UnitGroupStructure, dlog, reconstruct, units
 from .ball import Ball, ComplexBall
 
 _ROOT_RAD = 2.0 ** -51  # two ulps of unity; see roots_of_unity
@@ -181,25 +181,19 @@ def _exponents(g: UnitGroupStructure, exps) -> list[np.ndarray]:
     return [np.arange(c.order) for c in g.components] if exps is None else list(exps)
 
 
-def _is_five_axis(c: Component) -> bool:
-    """The <5> axis of a part 2^e, e >= 3 (its other axis is <-1>)."""
-    return c.prime == 2 and c.generator == 5
-
-
 def parity_mask(g: UnitGroupStructure, exps=None) -> np.ndarray:
     """Boolean array over the sub-lattice whose axis i holds the exponents
     exps[i] (default: every character, in enumeration order), flattened in
     C order: True where chi is odd.
 
-    chi(-1) = (-1)^(sum_i k_i) over every axis except <5>.  On each of
-    those axes -1 = g_i^(order_i/2), so axis i contributes
-    e(k_i/2) = (-1)^k_i; on the <5> axis of a part 2^e (e >= 3) -1 has
-    exponent 0.  An axis held at the single exponent 1 (a folded order-2
-    axis) flips the parity of the rest.
+    -1 has the exponent m_i = `Component.minus_one` on axis i (order_i/2,
+    or 0 on the <5> axis of a part 2^e, from `arith`), so axis i contributes
+    e(k_i m_i/order_i) = +/-1 to chi(-1): -1 exactly when k_i m_i is not a
+    multiple of order_i.  An axis held at the single exponent 1 (a folded
+    order-2 axis) flips the parity of the rest.
     """
     return _over_lattice(np.logical_xor, [
-        np.zeros(k.size, dtype=bool) if _is_five_axis(c) else k % 2 == 1
-        for c, k in zip(g.components, _exponents(g, exps))])
+        k * c.minus_one % c.order != 0 for c, k in zip(g.components, _exponents(g, exps))])
 
 
 def primitive_mask(g: UnitGroupStructure, exps=None) -> np.ndarray:
@@ -220,7 +214,7 @@ def primitive_mask(g: UnitGroupStructure, exps=None) -> np.ndarray:
     if g.q % 4 == 2:
         return np.zeros(math.prod(k.size for k in exps), dtype=bool)
     return _over_lattice(np.logical_and, [
-        np.ones(k.size, dtype=bool) if c.prime == 2 and c.modulus > 4 and not _is_five_axis(c)
+        np.ones(k.size, dtype=bool) if c.modulus > 4 and c.generator == c.modulus - 1
         else k % c.prime != 0
         for c, k in zip(g.components, exps)])
 

@@ -5,8 +5,9 @@ its radius widened when the row is ambiguous.
 
 Exit codes: 0 success with nothing violated; 1 usage or I/O error, an
 out-of-range q, --qmax, --grid or --threads, a row file to resume that another
-run wrote, an --out file that is not a row file, or a tol below a record's
-|L| radius, each with an error message; 2 a theorem
+run wrote, an --out file that is not a row file, a figure-data row file
+with a malformed complete row, a figure-data --out that names its --in,
+or a tol below a record's |L| radius, each with an error message; 2 a theorem
 exception, an indeterminate verdict (from its first evaluation: tol
 changes no computed value, so nothing is retried), or a failed lemma
 check.

@@ -223,21 +223,31 @@ def emit_figure_data(rows_path: str, parity: str, out_path: str) -> int:
     """Two-column (q, max excess midpoint) text for one parity class.
 
     Returns the number of points written; an empty selection yields an
-    empty file.
+    empty file.  The row file is read whole before out_path is opened: a
+    trailing partial line, the last row of an interrupted sweep, is
+    dropped, while a complete row that does not parse, or an out_path that
+    names the row file itself, raises ValueError and writes nothing.
     """
     if parity not in ("even", "odd"):
         raise ValueError("parity must be 'even' or 'odd'")
-    n = 0
+    points = []
     with open(rows_path, "rb") as fh:
-        rows = _load_resume(fh)
-        if rows is None:
+        if fh.readline() != _HEADER:
             raise ValueError(f"{rows_path} is not a sweep row file")
-        with open(out_path, "w", encoding="utf-8", newline="") as out:
-            for _, r in rows:
-                if r.parity == parity:
-                    out.write(f"{r.q} {r.excess_mid!r}\n")
-                    n += 1
-    return n
+        if os.path.exists(out_path) and os.path.samefile(rows_path, out_path):
+            raise ValueError(f"{out_path} is the row file being read; refusing to overwrite it")
+        for n, line in enumerate(fh, 2):
+            if not line.endswith(b"\n"):
+                break
+            try:
+                r = SweepRow.parse(line.decode())
+            except ValueError:
+                raise ValueError(f"{rows_path} line {n} is not a sweep row") from None
+            if r.parity == parity:
+                points.append(f"{r.q} {r.excess_mid!r}\n")
+    with open(out_path, "w", encoding="utf-8", newline="") as out:
+        out.writelines(points)
+    return len(points)
 
 
 def summarize(summary: SweepSummary) -> str:

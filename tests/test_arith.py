@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from l1sweep import batch
 from l1sweep.arith import (dlog, dlog_matrix, euler_phi, factorize, reconstruct,
                            smallest_primitive_root, unit_group, units)
 
@@ -137,10 +138,14 @@ def _gcd_units(q: int) -> np.ndarray:
     return np.flatnonzero(np.gcd(np.arange(q), q) == 1)
 
 
-@pytest.mark.parametrize("qs", [
+# 3..1000, and 3 2^e p, whose <5> axis (e >= 3) takes no half swap
+_LATTICE_QS = pytest.mark.parametrize("qs", [
     range(3, 1001),
     [3 * 2 ** e * p for e in range(11) for p in (1, 5, 7, 11, 13)],
 ], ids=["3..1000", "3*2^e*p"])
+
+
+@_LATTICE_QS
 def test_unit_lattice_against_definitions(qs):
     for q in qs:
         g = unit_group(q)
@@ -158,6 +163,24 @@ def test_unit_lattice_against_definitions(qs):
                     pows = np.array([pow(c.generator, e, m) for e in range(c.order)])
                     local = local * pows[k] % m
             assert np.array_equal(g.lattice % m, local), (q, m)
+        # -half[k] sits in the second half where the half-swap view puts k
+        h = g.phi // 2
+        assert np.array_equal(g.index[q - g.half], h + g.half_swap(np.arange(h)).ravel()), q
+
+
+@_LATTICE_QS
+def test_mirror_writes_both_signs_where_the_units_sit(qs):
+    rng = np.random.default_rng(7)
+    for q in qs:
+        g = unit_group(q)
+        h = g.phi // 2
+        f, v = rng.standard_normal(h), rng.standard_normal(h)
+        out = np.empty(g.phi)
+        out[:h] = f
+        batch._mirror(g, out, v)
+        assert np.array_equal(out[:h].view(np.int64), (f + v).view(np.int64)), q
+        assert np.array_equal(out[g.index[q - g.half]].view(np.int64),
+                              (f - v).view(np.int64)), q
 
 
 def test_smallest_primitive_root_known_values():

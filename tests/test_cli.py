@@ -189,6 +189,26 @@ def test_figure_data_missing_or_malformed_input(tmp_path, capsys):
     bad.write_text("definitely,not,a,sweep,file\n")
     assert main(["figure-data", "--in", str(bad), "--parity", "odd",
                  "--out", str(tmp_path / "o2.txt")]) == 1
+    rows = tmp_path / "rows.csv"
+    main(["sweep", "--qmin", "3", "--qmax", "60", "--out", str(rows)])
+    capsys.readouterr()
+    whole = rows.read_bytes()
+    # a complete row that does not parse ends the command at its line, and
+    # no point is written
+    lines = whole.splitlines(keepends=True)
+    lines[4] = b"garbage,line\n"
+    bad.write_bytes(b"".join(lines))
+    out = tmp_path / "o3.txt"
+    assert main(["figure-data", "--in", str(bad), "--parity", "even", "--out", str(out)]) == 1
+    assert "line 5" in capsys.readouterr().err and not out.exists()
+    # an --out equal to --in is refused, and the rows are left as they were
+    assert main(["figure-data", "--in", str(rows), "--parity", "even", "--out", str(rows)]) == 1
+    assert "refusing" in capsys.readouterr().err and rows.read_bytes() == whole
+    # an interrupted sweep's trailing partial line is still dropped
+    rows.write_bytes(whole[:-5])
+    assert main(["figure-data", "--in", str(rows), "--parity", "odd", "--out", str(out)]) == 0
+    kept = whole.splitlines()[1:-1]
+    assert out.read_text().count("\n") == sum(b",odd," in r for r in kept)
 
 
 def test_usage_errors_exit_1():
